@@ -616,12 +616,14 @@ fn report_serve_throughput(_c: &mut Criterion) {
     );
 }
 
-/// Sharded serving scaling on the flagship noisy config: the same frozen
-/// detector behind a `ShardedScorer` with K worker shards, swept in
-/// batch-32 coalesced panels. Reports `serve_sharded{K}_ns_per_sample`
-/// (plus sustained samples/sec for K ≥ 2). The scaling assertion only
-/// arms on multi-core hosts — on a single core the shard workers time-
-/// slice one CPU and K > 1 can only add handoff overhead.
+/// Group-parallel serving scaling on the flagship noisy config: the same
+/// frozen detector scored through `ShardedScorer`, which runs
+/// `FrozenDetector::score_samples`' one group-parallel path with K pool
+/// participants, swept in batch-32 coalesced panels. Reports
+/// `serve_sharded{K}_ns_per_sample` (plus sustained samples/sec for
+/// K ≥ 2). The scaling assertion only arms on multi-core hosts — on a
+/// single core the participants time-slice one CPU and K > 1 can only
+/// add handoff overhead.
 fn report_serve_sharded(_c: &mut Criterion) {
     let config = noisy_flagship_config(EngineKind::Density).with_ensemble_groups(SERVE_GROUPS);
     let ds = flagship_dataset();

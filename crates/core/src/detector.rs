@@ -319,7 +319,7 @@ mod tests {
         let full = detector.score(&ds).unwrap();
         // Any disjoint partition, merged per group in ascending index
         // order, reproduces the full run bit for bit — the property the
-        // sharded serving runtime leans on.
+        // group-parallel serving path leans on.
         let partitions: [(Vec<usize>, Vec<usize>); 2] = [
             ((0..5).collect(), (5..10).collect()),
             (vec![0, 2, 4, 6, 8], vec![1, 3, 5, 7, 9]),

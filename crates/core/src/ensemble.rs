@@ -293,17 +293,6 @@ impl EnsembleGroup {
         self.channel_program_cache.poison_for_test();
     }
 
-    /// Drops every cached fused superoperator and lowered channel
-    /// program, leaving the build counters intact — the cold-restart
-    /// chaos hook. A supervisor that restarts a worker re-warms these
-    /// through the same build path, so the counters observe exactly what
-    /// a restart pays.
-    #[cfg(any(test, feature = "failpoints"))]
-    pub fn purge_derived_caches(&self) {
-        self.noisy_superop_cache.purge();
-        self.channel_program_cache.purge();
-    }
-
     /// Evaluates the SWAP-test deviation of every sample at one
     /// compression level, through the engine the configuration selects.
     ///

@@ -157,20 +157,13 @@ impl MinMaxNormalizer {
     pub fn transform(&self, ds: &Dataset) -> Dataset {
         let m = self.mins.len();
         assert_eq!(ds.num_features(), m, "feature count mismatch");
-        let bound = 1.0 / m as f64;
         let rows = ds
             .rows()
             .iter()
             .map(|row| {
                 row.iter()
                     .zip(self.mins.iter().zip(&self.ranges))
-                    .map(|(&v, (&lo, &range))| {
-                        if range <= 0.0 {
-                            0.0
-                        } else {
-                            ((v - lo) / (range * m as f64)).clamp(0.0, bound)
-                        }
-                    })
+                    .map(|(&v, (&lo, &range))| Self::scale(v, lo, range, m as f64))
                     .collect()
             })
             .collect();
@@ -186,6 +179,28 @@ impl MinMaxNormalizer {
     /// Convenience: fit on `ds` and transform it.
     pub fn fit_transform(ds: &Dataset) -> Dataset {
         Self::fit(ds).transform(ds)
+    }
+
+    /// One value of [`MinMaxNormalizer::transform`]: `(v − lo) / (range ·
+    /// m)` clamped into `[0, 1/m]`, or zero for a constant feature.
+    ///
+    /// A finite column can span more than `f64::MAX` (e.g. −1e308 and
+    /// 1e308), and then `range · m` overflows to infinity and `(v − lo)`
+    /// can too, giving `inf / inf = NaN`. That case is computed at half
+    /// scale with the range saturated at `f64::MAX`, so every finite
+    /// input maps to a finite, in-range value. Whenever `range · m` is
+    /// finite the result is the plain formula, bit for bit.
+    pub fn scale(v: f64, lo: f64, range: f64, m: f64) -> f64 {
+        if range <= 0.0 {
+            return 0.0;
+        }
+        let span = range * m;
+        let t = if span.is_finite() {
+            (v - lo) / span
+        } else {
+            ((0.5 * v - 0.5 * lo) / m) / (0.5 * range.min(f64::MAX))
+        };
+        t.clamp(0.0, 1.0 / m)
     }
 }
 
@@ -333,6 +348,38 @@ mod tests {
         let out = norm.transform(&outlier);
         assert!((out.sample(0)[0] - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(out.sample(0)[1], 0.0);
+    }
+
+    #[test]
+    fn minmax_survives_a_column_wider_than_f64_max() {
+        // hi − lo overflows to inf; inf / inf used to be a NaN that made
+        // `transform` panic while rebuilding the dataset.
+        let ds = Dataset::from_rows(
+            "wide",
+            vec![vec![-1e308, 1.0], vec![1e308, 2.0], vec![0.0, 3.0]],
+            None,
+        )
+        .unwrap();
+        let norm = MinMaxNormalizer::fit(&ds);
+        assert_eq!(norm.ranges()[0], f64::INFINITY);
+        let out = norm.transform(&ds);
+        for row in out.rows() {
+            for &v in row {
+                assert!(v.is_finite() && (0.0..=0.5).contains(&v), "{v}");
+            }
+        }
+        // Order is kept: min at zero, max at the 1/M cap, zero between.
+        let col: Vec<f64> = out.rows().iter().map(|r| r[0]).collect();
+        assert_eq!(col[0], 0.0);
+        assert_eq!(col[1], 0.5);
+        assert!(col[0] < col[2] && col[2] < col[1]);
+        // The ordinary column keeps the plain formula.
+        assert_eq!(out.sample(0)[1], 0.0);
+        assert_eq!(out.sample(2)[1], 0.5);
+        // A finite but huge range whose `range · M` overflows, probed
+        // with a held-out value whose `v − lo` overflows too.
+        let v = MinMaxNormalizer::scale(1.7e308, -0.75e308, 1.5e308, 3.0);
+        assert!(v.is_finite() && (0.0..=1.0 / 3.0).contains(&v), "{v}");
     }
 
     #[test]

@@ -50,14 +50,12 @@ pub mod channel;
 pub mod circuit;
 pub mod complex;
 pub mod density;
-pub mod draw;
 pub mod error;
 pub mod gate;
 pub mod kernel;
 pub mod matrix;
 pub mod noise;
 pub mod parallel;
-pub mod pauli;
 pub mod qasm;
 pub mod sampling;
 pub mod simulator;

@@ -30,9 +30,9 @@ pub enum ServeError {
         /// The OS-level spawn failure.
         source: io::Error,
     },
-    /// Serving capacity was lost faster than the supervisor could
-    /// recover it: every shard worker is retired or the per-request
-    /// retry budget ran out mid-panel.
+    /// An ensemble group's scoring panicked on every attempt: the first
+    /// try and [`crate::frozen::GROUP_RETRIES`] in-place retries. The
+    /// panel was not scored; the server itself keeps serving.
     Faulted(String),
 }
 
@@ -47,7 +47,7 @@ impl fmt::Display for ServeError {
             ServeError::Spawn { thread, source } => {
                 write!(f, "could not spawn thread {thread:?}: {source}")
             }
-            ServeError::Faulted(msg) => write!(f, "serving capacity lost: {msg}"),
+            ServeError::Faulted(msg) => write!(f, "scoring faulted: {msg}"),
         }
     }
 }
@@ -108,8 +108,8 @@ mod tests {
         );
         assert!(e.to_string().contains("quorum-batcher"));
         assert!(Error::source(&e).is_some());
-        let e = ServeError::Faulted("every shard is retired".into());
-        assert!(e.to_string().contains("capacity lost"));
+        let e = ServeError::Faulted("group 3 panicked on all 3 scoring attempts".into());
+        assert!(e.to_string().contains("scoring faulted"));
     }
 
     #[test]

@@ -6,26 +6,31 @@
 //! this code, and even a failpoints build runs nothing unless a fault
 //! is explicitly [`arm`]ed.
 //!
-//! Every failpoint is a named **site** in the serving code (e.g.
-//! `"supervisor::worker"` in the shard-worker panel loop,
-//! `"server::write_frame"` in the TCP response writer). A site counts
-//! its hits; an armed [`FaultSpec`] decides *deterministically* — from
-//! the hit number alone, optionally through a seeded hash — whether a
-//! given hit fires its [`FaultAction`]. Determinism is the point: the
-//! chaos suite pins that scores stay **bit-identical** through
-//! crash → restart → re-plan, which requires replaying the exact same
-//! fault schedule on every run.
+//! Every failpoint is a named **site** in the serving code. There are
+//! two:
+//!
+//! * `"frozen::group"` — the per-group scoring job inside
+//!   [`crate::FrozenDetector::score_samples`], hit once per scoring
+//!   attempt of each group;
+//! * `"server::write_frame"` — the TCP response writer.
+//!
+//! A site counts its hits; an armed [`FaultSpec`] decides
+//! *deterministically* — from the hit number alone, optionally through
+//! a seeded hash — whether a given hit fires its [`FaultAction`].
+//! Determinism is the point: the chaos suite pins that scores stay
+//! **bit-identical** through panic → in-place retry, which requires
+//! replaying the exact same fault schedule on every run.
 //!
 //! Faults a site can inject:
 //!
-//! * [`FaultAction::Panic`] — the worker panics mid-panel (caught by the
-//!   supervisor's `catch_unwind`, driving restart/re-plan);
-//! * [`FaultAction::Delay`] — a shard reply is delayed (slow consumer);
+//! * [`FaultAction::Panic`] — a group's scoring panics mid-panel (caught
+//!   by the job's `catch_unwind` and re-scored in place);
+//! * [`FaultAction::Delay`] — a group finishes late (a slow participant);
 //! * [`FaultAction::TornWrite`] — a TCP response frame is cut short and
 //!   the socket closed (torn frame on the wire);
-//! * [`FaultAction::PoisonCaches`] — the worker's per-group derived
-//!   caches get their mutexes poisoned before scoring (a crashed lock
-//!   holder), which the byte-bounded caches must absorb.
+//! * [`FaultAction::PoisonCaches`] — the group's derived caches get their
+//!   mutexes poisoned before scoring (a crashed lock holder), which the
+//!   byte-bounded caches must absorb.
 //!
 //! The registry is process-global (sites live in library code, far from
 //! any test handle), so chaos tests that arm faults must serialise on
@@ -39,9 +44,9 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultAction {
-    /// Panic at the site (a crashing worker).
+    /// Panic at the site (a crashing scorer).
     Panic,
-    /// Sleep this long at the site (a delayed shard reply).
+    /// Sleep this long at the site (a slow group).
     Delay(Duration),
     /// Write only the first `keep_bytes` of the response frame, then
     /// close the socket (a torn TCP frame). Interpreted by the server's
@@ -51,8 +56,8 @@ pub enum FaultAction {
         keep_bytes: usize,
     },
     /// Poison the per-group derived-object cache mutexes before scoring
-    /// (a lock holder that crashed). Interpreted by the supervisor's
-    /// worker loop; other sites ignore it.
+    /// (a lock holder that crashed). Interpreted by the
+    /// `"frozen::group"` site; other sites ignore it.
     PoisonCaches,
 }
 

@@ -5,7 +5,7 @@
 
 use crate::artifact::{FrozenArtifact, FrozenGroup, FrozenNormalizer, LevelStats};
 use crate::error::ServeError;
-use qdata::{Dataset, SamplePanel};
+use qdata::{Dataset, MinMaxNormalizer, SamplePanel};
 use qmetrics::stats;
 use qsim::parallel::map_indexed;
 use quorum_core::ansatz::AnsatzParams;
@@ -16,18 +16,24 @@ use quorum_core::ensemble::EnsembleGroup;
 use quorum_core::features::FeatureSelection;
 use quorum_core::{QuorumConfig, QuorumError, ScoreReport};
 use std::cell::RefCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Sample ids contribute their low 32 bits to the per-measurement shot
 /// seed (see [`quorum_core::engine::shot_seed`]); a server that outlives
 /// 2^32 samples recycles measurement randomness, never data.
 const SAMPLE_ID_MASK: u64 = 0xFFFF_FFFF;
 
+/// How many times a group whose scoring panicked is re-scored in place
+/// before the panel fails with [`ServeError::Faulted`]. A fixed property
+/// of the serving path, not a knob.
+pub const GROUP_RETRIES: usize = 2;
+
 /// One normalized streamed panel in pooled flat storage: row-major
 /// `samples × features`, reused across batches so the steady-state
 /// request path never allocates per-row vectors. Borrow it as a
 /// [`SamplePanel`] to hand to the engines.
 #[derive(Debug, Default)]
-pub(crate) struct NormalizedPanel {
+struct NormalizedPanel {
     data: Vec<f64>,
     features: usize,
 }
@@ -39,7 +45,7 @@ impl NormalizedPanel {
     ///
     /// Panics on an unfilled panel (zero feature width) — callers fill
     /// via [`FrozenDetector::normalize_rows_into`] first.
-    pub(crate) fn as_panel(&self) -> SamplePanel<'_> {
+    fn as_panel(&self) -> SamplePanel<'_> {
         SamplePanel::new(&self.data, self.features)
     }
 }
@@ -354,14 +360,37 @@ impl FrozenDetector {
     /// concurrent requests returns bit-identical scores to scoring each
     /// sample alone.
     ///
+    /// Groups are independent (paper §IV-F), so they fan out over the
+    /// resident worker pool, and this per-group job is also where faults
+    /// are isolated: a group whose scoring panics is re-scored in place,
+    /// up to [`GROUP_RETRIES`] more times. The partials are then summed
+    /// in ascending group order whichever participant computed them, so
+    /// a recovered panel is bit-identical to an uninterrupted one. That
+    /// additive ascending-group merge is also the seam a remote shard
+    /// would plug into: its reply would be exactly these per-group
+    /// partials.
+    ///
     /// # Errors
     ///
     /// [`ServeError::Request`] for rows of the wrong width or with
-    /// non-finite values; simulation failures propagate.
+    /// non-finite values; [`ServeError::Faulted`] when a group panics on
+    /// every attempt; simulation failures propagate.
     pub fn score_samples(
         &self,
         rows: &[Vec<f64>],
         first_sample_id: u64,
+    ) -> Result<Vec<f64>, ServeError> {
+        self.score_samples_on(rows, first_sample_id, self.config.effective_threads())
+    }
+
+    /// [`FrozenDetector::score_samples`] with an explicit number of pool
+    /// participants — the seam behind [`crate::ShardedScorer`]. The
+    /// thread count changes who scores a group, never what it scores.
+    pub(crate) fn score_samples_on(
+        &self,
+        rows: &[Vec<f64>],
+        first_sample_id: u64,
+        threads: usize,
     ) -> Result<Vec<f64>, ServeError> {
         if rows.is_empty() {
             return Ok(Vec::new());
@@ -370,13 +399,12 @@ impl FrozenDetector {
             let pooled = &mut *cell.borrow_mut();
             self.normalize_rows_into(rows, pooled)?;
             let levels = self.config.effective_compression_levels();
-            let threads = self.config.effective_threads();
             let panel = pooled.as_panel();
             let panel_ref = &panel;
             let levels_ref = &levels;
-            let partials: Vec<Result<Vec<f64>, QuorumError>> =
+            let partials: Vec<Result<Vec<f64>, ServeError>> =
                 map_indexed(self.groups.len(), threads, move |g| {
-                    self.stream_scores_for_group(g, panel_ref, levels_ref, first_sample_id)
+                    self.isolated_group_scores(g, panel_ref, levels_ref, first_sample_id)
                 });
             let mut totals = vec![0.0; rows.len()];
             for partial in partials {
@@ -389,13 +417,66 @@ impl FrozenDetector {
         })
     }
 
-    /// One group's additive streamed-score contribution — the public
-    /// group-subset seam behind the sharded scorer. `engine` overrides
-    /// the engine that evaluates this group's deviations (`None` runs
-    /// the configuration's streaming engine); the override must honour
-    /// the frozen execution mode. Summing every group's vector in
-    /// ascending group-index order reproduces
-    /// [`FrozenDetector::score_samples`] bit for bit.
+    /// One group's streamed partial under `catch_unwind`, re-scored in
+    /// place when it panics. No cache purge is needed between attempts:
+    /// derived-object cache entries are written once and stay valid, and
+    /// the caches recover poisoned locks.
+    fn isolated_group_scores(
+        &self,
+        g: usize,
+        panel: &SamplePanel<'_>,
+        levels: &[usize],
+        first_sample_id: u64,
+    ) -> Result<Vec<f64>, ServeError> {
+        for _ in 0..=GROUP_RETRIES {
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(any(test, feature = "failpoints"))]
+                self.inject_group_fault(g);
+                self.group_stream_scores(
+                    self.stream_engine,
+                    &self.exact_config,
+                    g,
+                    panel,
+                    levels,
+                    first_sample_id,
+                )
+            }));
+            if let Ok(scores) = attempt {
+                return scores.map_err(ServeError::Quorum);
+            }
+        }
+        Err(ServeError::Faulted(format!(
+            "group {g} panicked on all {} scoring attempts",
+            GROUP_RETRIES + 1
+        )))
+    }
+
+    /// The `"frozen::group"` failpoint: panics, delays, or poisons this
+    /// group's derived-object caches (a crashed lock holder) before the
+    /// group is scored.
+    #[cfg(any(test, feature = "failpoints"))]
+    fn inject_group_fault(&self, g: usize) {
+        match crate::fault::check("frozen::group") {
+            Some(crate::fault::FaultAction::Panic) => {
+                panic!("failpoint \"frozen::group\" injected a panic into group {g}")
+            }
+            Some(crate::fault::FaultAction::Delay(d)) => std::thread::sleep(d),
+            // The poison hooks live behind core's `failpoints` feature,
+            // which serve's forwards to.
+            #[cfg(feature = "failpoints")]
+            Some(crate::fault::FaultAction::PoisonCaches) => {
+                self.groups[g].poison_derived_caches();
+            }
+            _ => {}
+        }
+    }
+
+    /// One group's additive streamed-score contribution — the per-group
+    /// probe seam. `engine` overrides the engine that evaluates this
+    /// group's deviations (`None` runs the configuration's streaming
+    /// engine); the override must honour the frozen execution mode.
+    /// Summing every group's vector in ascending group-index order
+    /// reproduces [`FrozenDetector::score_samples`] bit for bit.
     ///
     /// # Errors
     ///
@@ -423,7 +504,7 @@ impl FrozenDetector {
             self.normalize_rows_into(rows, pooled)?;
             let levels = self.config.effective_compression_levels();
             let (engine, exact_config) = self.resolve_stream_engine(engine)?;
-            self.stream_scores_for_group_with(
+            self.group_stream_scores(
                 engine,
                 &exact_config,
                 group,
@@ -438,12 +519,12 @@ impl FrozenDetector {
     /// Validates streamed rows (width, finiteness) and applies the frozen
     /// normaliser directly into pooled flat storage — the shared head of
     /// every streaming entry point. The per-element arithmetic is the
-    /// normaliser's own `transform` (plus `absolute_features` for the
-    /// range-max scheme) fused into the pack loop, so the result is
-    /// bit-identical to materialising an intermediate [`Dataset`] while
-    /// allocating nothing per batch in steady state. Error precedence and
-    /// texts match the previous dataset-backed validation exactly.
-    pub(crate) fn normalize_rows_into(
+    /// normaliser's own (plus `absolute_features` for the range-max
+    /// scheme) fused into the pack loop, so the result is bit-identical
+    /// to materialising an intermediate [`Dataset`] while allocating
+    /// nothing per batch in steady state. Error precedence and texts
+    /// match the previous dataset-backed validation exactly.
+    fn normalize_rows_into(
         &self,
         rows: &[Vec<f64>],
         panel: &mut NormalizedPanel,
@@ -494,40 +575,24 @@ impl FrozenDetector {
                 let mins = norm.mins();
                 let ranges = norm.ranges();
                 for r in rows {
-                    panel.data.extend(r.iter().zip(mins.iter().zip(ranges)).map(
-                        |(&v, (&lo, &range))| {
-                            if range <= 0.0 {
-                                0.0
-                            } else {
-                                ((v - lo) / (range * m)).clamp(0.0, bound)
-                            }
-                        },
-                    ));
+                    panel.data.extend(
+                        r.iter()
+                            .zip(mins.iter().zip(ranges))
+                            .map(|(&v, (&lo, &range))| MinMaxNormalizer::scale(v, lo, range, m)),
+                    );
                 }
             }
         }
         Ok(())
     }
 
-    /// Allocating convenience over [`FrozenDetector::normalize_rows_into`]
-    /// for callers that share one normalized panel across threads (the
-    /// sharded scorer wraps the result in an `Arc`).
-    pub(crate) fn normalize_stream_panel(
-        &self,
-        rows: &[Vec<f64>],
-    ) -> Result<NormalizedPanel, ServeError> {
-        let mut panel = NormalizedPanel::default();
-        self.normalize_rows_into(rows, &mut panel)?;
-        Ok(panel)
-    }
-
-    /// Resolves a per-shard engine override against the shot-stripped
-    /// streaming configuration. `None` returns the detector's own
-    /// streaming engine; `Some(kind)` must be compatible with the frozen
-    /// execution mode (e.g. a pure-state engine cannot serve a noisy
-    /// detector) and surfaces the same typed error the in-process
-    /// configuration validation would.
-    pub(crate) fn resolve_stream_engine(
+    /// Resolves an engine override against the shot-stripped streaming
+    /// configuration. `None` returns the detector's own streaming engine;
+    /// `Some(kind)` must be compatible with the frozen execution mode
+    /// (e.g. a pure-state engine cannot serve a noisy detector) and
+    /// surfaces the same typed error the in-process configuration
+    /// validation would.
+    fn resolve_stream_engine(
         &self,
         kind: Option<EngineKind>,
     ) -> Result<(&'static dyn ScoringEngine, QuorumConfig), ServeError> {
@@ -541,37 +606,12 @@ impl FrozenDetector {
         }
     }
 
-    /// The compression levels the streaming path sweeps.
-    pub(crate) fn stream_levels(&self) -> Vec<usize> {
-        self.config.effective_compression_levels()
-    }
-
-    /// One group's additive streamed-score contribution under the
-    /// detector's own streaming engine.
-    fn stream_scores_for_group(
-        &self,
-        g: usize,
-        panel: &SamplePanel<'_>,
-        levels: &[usize],
-        first_sample_id: u64,
-    ) -> Result<Vec<f64>, QuorumError> {
-        self.stream_scores_for_group_with(
-            self.stream_engine,
-            &self.exact_config,
-            g,
-            panel,
-            levels,
-            first_sample_id,
-        )
-    }
-
     /// One group's additive streamed-score contribution through an
-    /// explicit engine — the shard workers' inner loop. The engine only
-    /// changes *how* the exact deviations are evaluated; shot sampling
-    /// and z-scoring still run off the frozen configuration, so every
-    /// engine that honours the execution mode produces the same additive
-    /// semantics.
-    pub(crate) fn stream_scores_for_group_with(
+    /// explicit engine. The engine only changes *how* the exact
+    /// deviations are evaluated; shot sampling and z-scoring still run
+    /// off the frozen configuration, so every engine that honours the
+    /// execution mode produces the same additive semantics.
+    fn group_stream_scores(
         &self,
         engine: &dyn ScoringEngine,
         exact_config: &QuorumConfig,
@@ -580,40 +620,9 @@ impl FrozenDetector {
         levels: &[usize],
         first_sample_id: u64,
     ) -> Result<Vec<f64>, QuorumError> {
-        let mut scores = vec![0.0; panel.num_samples()];
-        self.stream_scores_for_group_with_into(
-            engine,
-            exact_config,
-            g,
-            panel,
-            levels,
-            first_sample_id,
-            &mut scores,
-        )?;
-        Ok(scores)
-    }
-
-    /// [`FrozenDetector::stream_scores_for_group_with`] writing into a
-    /// caller-owned slice — the sharded scorer points this at the group's
-    /// pre-sliced row of its resident partial-sum slab, so steady-state
-    /// shard scoring allocates no per-group vectors. `out` must hold
-    /// exactly one slot per panel sample; it is zeroed before
-    /// accumulation.
-    #[allow(clippy::too_many_arguments)] // mirror of the Vec-returning seam
-    pub(crate) fn stream_scores_for_group_with_into(
-        &self,
-        engine: &dyn ScoringEngine,
-        exact_config: &QuorumConfig,
-        g: usize,
-        panel: &SamplePanel<'_>,
-        levels: &[usize],
-        first_sample_id: u64,
-        out: &mut [f64],
-    ) -> Result<(), QuorumError> {
-        debug_assert_eq!(out.len(), panel.num_samples());
         let group = &self.groups[g];
         let per_level = engine.deviations_all_levels_panel(group, panel, exact_config, levels)?;
-        out.fill(0.0);
+        let mut scores = vec![0.0; panel.num_samples()];
         for ((deviations, &level), level_stats) in per_level.iter().zip(levels).zip(&self.stats[g])
         {
             for (j, &exact) in deviations.iter().enumerate() {
@@ -625,10 +634,10 @@ impl FrozenDetector {
                     }
                     None => exact,
                 };
-                out[j] += stats::zscore(deviation, level_stats.mean, level_stats.std).abs();
+                scores[j] += stats::zscore(deviation, level_stats.mean, level_stats.std).abs();
             }
         }
-        Ok(())
+        Ok(scores)
     }
 
     /// Shared tail of freeze and thaw: derives the shot-stripped
@@ -682,27 +691,13 @@ impl FrozenDetector {
     /// warm caches. No-op for pure-state configurations and for the
     /// per-sample circuit oracle (which builds circuits per request).
     fn prewarm(&self) -> Result<(), ServeError> {
-        let all: Vec<usize> = (0..self.groups.len()).collect();
-        self.prewarm_groups(self.config.effective_engine(), &all)
-    }
-
-    /// [`FrozenDetector::prewarm`] for one engine kind over a subset of
-    /// groups — the sharded scorer warms each shard's groups for the
-    /// engine that shard will actually run, so a per-shard engine
-    /// override never pays fusion or lowering at request time.
-    pub(crate) fn prewarm_groups(
-        &self,
-        kind: EngineKind,
-        groups: &[usize],
-    ) -> Result<(), ServeError> {
         let ExecutionMode::Noisy { noise, .. } = &self.config.execution else {
             return Ok(());
         };
         let levels = self.config.effective_compression_levels();
-        for &g in groups {
-            let group = &self.groups[g];
+        for group in &self.groups {
             for &level in &levels {
-                match kind {
+                match self.config.effective_engine() {
                     EngineKind::Density | EngineKind::DensitySample => {
                         group
                             .fused_noisy_superop(noise, level)

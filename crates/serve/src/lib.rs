@@ -22,37 +22,39 @@
 //!         │
 //!         └─ QuorumServer ── per-connection handlers ──► BatchScorer
 //!                              coalesced 2^n×S panel ──► PanelScorer
-//!                                      │
-//!                      ┌───────────────┴───────────────┐
-//!                      ▼ (bind)                        ▼ (bind_sharded)
-//!              FrozenDetector                   ShardedScorer
-//!              score_samples                    ShardPlan over groups
-//!                                               shard 0 ── groups {0,3,…}
-//!                                               shard 1 ── groups {1,2,…}
-//!                                               Σ partials (ascending g)
+//!                                                            │
+//!                             FrozenDetector::score_samples ◄┘
+//!                               normalise once into a pooled panel
+//!                               group 0 ┐
+//!                               group 1 ├ WorkerPool jobs, each under
+//!                               …       │ catch_unwind with in-place retry
+//!                               group G ┘
+//!                               Σ per-group partials (ascending g)
 //! ```
 //!
 //! Coalescing is invisible in the results: every per-sample score
 //! depends only on the sample's row and its stable id, so batch
-//! composition can never change an individual answer. Sharding is
+//! composition can never change an individual answer. Parallelism is
 //! invisible the same way: the ensemble score is an additive sum over
-//! independent groups, so partitioning groups across shard workers and
-//! summing their partial vectors in ascending group order reproduces the
-//! single-process scores bit for bit, for every shard count and engine
-//! assignment.
+//! independent groups, and summing the per-group partials in ascending
+//! group order reproduces the sequential scores bit for bit, whichever
+//! thread computed each group. That merge is also the seam a remote
+//! shard would plug into — its reply would be exactly a group subset's
+//! partials.
 //!
-//! Fault tolerance builds on the same invariant. A
-//! [`SupervisedScorer`] runs each shard worker under `catch_unwind`,
-//! restarts crashed workers with bounded exponential backoff, and past
-//! a restart budget retires the shard and re-folds its groups into the
-//! survivors — all bit-identical, because re-planning never changes a
-//! group's engine assignment or the ascending merge order. The server
-//! side sheds load with typed [`ServeError::Overloaded`] frames when
-//! the batching queue fills, answers `Health` probes with per-shard
-//! liveness, and [`ScoreClient`] retries transient failures with
-//! seeded exponential backoff. A deterministic failpoint registry
-//! ([`mod@fault`], compiled only under the `failpoints` feature or
-//! `cfg(test)`) drives the chaos suite that pins these guarantees.
+//! Fault tolerance builds on the same invariant and lives in one place,
+//! the per-group job inside [`FrozenDetector::score_samples`]. A group
+//! whose scoring panics is caught and re-scored in place a fixed
+//! [`frozen::GROUP_RETRIES`] more times; the recovered panel is
+//! bit-identical to an uninterrupted one, and a group that keeps
+//! panicking fails the panel with a typed [`ServeError::Faulted`] while
+//! the server keeps serving. The server side sheds load with typed
+//! [`ServeError::Overloaded`] frames when the batching queue fills,
+//! answers `Health` probes with queue and batch counters, and
+//! [`ScoreClient`] retries transient failures with seeded exponential
+//! backoff. A deterministic failpoint registry (the `fault` module,
+//! compiled only under the `failpoints` feature or `cfg(test)`) drives
+//! the chaos suite that pins these guarantees.
 
 #![warn(missing_docs)]
 
@@ -64,7 +66,6 @@ pub mod fault;
 pub mod frozen;
 pub mod server;
 pub mod shard;
-pub mod supervisor;
 mod wire;
 
 pub use artifact::{FrozenArtifact, FrozenGroup, FrozenNormalizer, LevelStats};
@@ -72,5 +73,4 @@ pub use batch::{BatchHandle, BatchScorer, CoalescePolicy, OverloadPolicy, PanelS
 pub use error::ServeError;
 pub use frozen::FrozenDetector;
 pub use server::{HealthReport, QuorumServer, RetryPolicy, ScoreClient};
-pub use shard::{BaselineCosts, Shard, ShardPlan, ShardPolicy, ShardedScorer};
-pub use supervisor::{ShardHealth, ShardLiveness, SupervisedScorer, SupervisorPolicy};
+pub use shard::{ShardPolicy, ShardedScorer};

@@ -36,19 +36,16 @@
 //!
 //! Each connection gets its own handler thread; every handler submits
 //! through the shared [`BatchScorer`], so samples arriving concurrently
-//! on different connections coalesce into one panel. The backend behind
-//! the batcher is any [`PanelScorer`] — the single-process
-//! [`FrozenDetector`] via [`QuorumServer::bind`], a [`ShardedScorer`]
-//! fanning ensemble groups across worker shards via
-//! [`QuorumServer::bind_sharded`], or a fault-tolerant
-//! [`SupervisedScorer`] via [`QuorumServer::bind_supervised`]; the wire
-//! protocol is identical either way.
+//! on different connections coalesce into one panel, which
+//! [`FrozenDetector::score_samples`] scores group-parallel on the
+//! resident worker pool. A group that panics there is retried in place,
+//! and one that keeps panicking fails only its panel, with a typed
+//! [`ServeError::Faulted`] error frame — the batcher and every
+//! connection keep serving.
 
-use crate::batch::{BatchScorer, CoalescePolicy, OverloadPolicy, PanelScorer};
+use crate::batch::{BatchScorer, CoalescePolicy, OverloadPolicy};
 use crate::error::ServeError;
 use crate::frozen::FrozenDetector;
-use crate::shard::{ShardPolicy, ShardedScorer};
-use crate::supervisor::{ShardHealth, ShardLiveness, SupervisedScorer, SupervisorPolicy};
 use crate::wire::{Reader, Writer};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -74,8 +71,11 @@ pub const PROTOCOL_VERSION: u32 = 2;
 type ConnSlab = Arc<Mutex<HashMap<u64, TcpStream>>>;
 
 /// A server liveness snapshot, answered to a [`HEALTH_PROBE`]: batcher
-/// queue pressure, load-shedding totals and — for supervised backends —
-/// per-shard worker liveness and restart counts.
+/// queue pressure and load-shedding totals.
+///
+/// The v2 frame still carries a `u32` shard count after the counters.
+/// This server always writes zero; entries an older v2 server sent there
+/// are checked for length and skipped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthReport {
     /// The wire protocol version the server speaks.
@@ -88,8 +88,6 @@ pub struct HealthReport {
     pub batches_dispatched: u64,
     /// Samples scored by the shared batcher.
     pub samples_scored: u64,
-    /// Per-shard liveness (empty for unsharded backends).
-    pub shards: Vec<ShardHealth>,
 }
 
 impl HealthReport {
@@ -100,58 +98,29 @@ impl HealthReport {
         w.u64(self.shed_total);
         w.u64(self.batches_dispatched);
         w.u64(self.samples_scored);
-        w.u32(self.shards.len() as u32);
-        for shard in &self.shards {
-            w.u32(shard.shard as u32);
-            w.u8(match shard.liveness {
-                ShardLiveness::Live => 0,
-                ShardLiveness::BackingOff => 1,
-                ShardLiveness::Retired => 2,
-            });
-            w.u64(shard.restarts);
-            w.u32(shard.groups as u32);
-        }
+        w.u32(0); // shard count
         w.into_bytes()
     }
 
     fn decode(payload: &[u8]) -> Result<Self, ServeError> {
         let mut r = Reader::new(payload);
-        let protocol_version = r.u32()?;
-        let queue_depth = r.u64()?;
-        let shed_total = r.u64()?;
-        let batches_dispatched = r.u64()?;
-        let samples_scored = r.u64()?;
-        let n = r.u32()?;
-        let mut shards = Vec::with_capacity(n.min(1024) as usize);
-        for _ in 0..n {
-            let shard = r.u32()? as usize;
-            let liveness = match r.u8()? {
-                0 => ShardLiveness::Live,
-                1 => ShardLiveness::BackingOff,
-                2 => ShardLiveness::Retired,
-                other => {
-                    return Err(ServeError::Artifact(format!(
-                        "unknown shard liveness {other}"
-                    )))
-                }
-            };
-            let restarts = r.u64()?;
-            let groups = r.u32()? as usize;
-            shards.push(ShardHealth {
-                shard,
-                liveness,
-                restarts,
-                groups,
-            });
+        let report = HealthReport {
+            protocol_version: r.u32()?,
+            queue_depth: r.u64()?,
+            shed_total: r.u64()?,
+            batches_dispatched: r.u64()?,
+            samples_scored: r.u64()?,
+        };
+        // Legacy shard rows: u32 shard, u8 liveness, u64 restarts, u32
+        // groups. A count the payload cannot hold fails on the first
+        // missing field, so a hostile count costs no allocation.
+        for _ in 0..r.u32()? {
+            r.u32()?;
+            r.u8()?;
+            r.u64()?;
+            r.u32()?;
         }
-        Ok(HealthReport {
-            protocol_version,
-            queue_depth,
-            shed_total,
-            batches_dispatched,
-            samples_scored,
-            shards,
-        })
+        Ok(report)
     }
 }
 
@@ -164,7 +133,6 @@ pub struct QuorumServer {
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     scorer: Arc<BatchScorer>,
-    panel: Arc<dyn PanelScorer>,
     conns: ConnSlab,
 }
 
@@ -182,7 +150,7 @@ impl QuorumServer {
         frozen: Arc<FrozenDetector>,
         policy: CoalescePolicy,
     ) -> Result<Self, ServeError> {
-        Self::serve(addr, frozen, policy, OverloadPolicy::default())
+        Self::bind_with(addr, frozen, policy, OverloadPolicy::default())
     }
 
     /// [`QuorumServer::bind`] with explicit overload limits (queue
@@ -197,86 +165,19 @@ impl QuorumServer {
         policy: CoalescePolicy,
         overload: OverloadPolicy,
     ) -> Result<Self, ServeError> {
-        Self::serve(addr, frozen, policy, overload)
-    }
-
-    /// Binds `addr` and serves `frozen` through a [`ShardedScorer`]
-    /// planned from `shards`. The wire protocol is unchanged — clients
-    /// cannot tell a sharded server from a single-process one, scores
-    /// included (they are bit-identical by the sharding invariance).
-    /// [`ShardPolicy::Single`] degrades to [`QuorumServer::bind`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] if binding fails; plan and engine-override
-    /// validation failures from [`ShardedScorer::new`].
-    pub fn bind_sharded(
-        addr: impl ToSocketAddrs,
-        frozen: Arc<FrozenDetector>,
-        policy: CoalescePolicy,
-        shards: &ShardPolicy,
-    ) -> Result<Self, ServeError> {
-        match shards {
-            ShardPolicy::Single => Self::serve(addr, frozen, policy, OverloadPolicy::default()),
-            _ => {
-                let sharded = Arc::new(ShardedScorer::new(frozen, shards)?);
-                Self::serve(addr, sharded, policy, OverloadPolicy::default())
-            }
-        }
-    }
-
-    /// Binds `addr` and serves `frozen` through a fault-tolerant
-    /// [`SupervisedScorer`]: shard workers run under a supervisor that
-    /// restarts crashes with bounded backoff and re-folds chronically
-    /// failing shards into the survivors, bit-identically. The `Health`
-    /// message reports the per-shard liveness this backend maintains.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] if binding fails; plan and engine-override
-    /// validation failures from [`SupervisedScorer::new`];
-    /// [`ServeError::Spawn`] for thread-spawn failures.
-    pub fn bind_supervised(
-        addr: impl ToSocketAddrs,
-        frozen: Arc<FrozenDetector>,
-        policy: CoalescePolicy,
-        overload: OverloadPolicy,
-        shards: &ShardPolicy,
-        supervisor: SupervisorPolicy,
-    ) -> Result<Self, ServeError> {
-        let shards = match shards {
-            // A supervised single backend is one worker shard.
-            ShardPolicy::Single => ShardPolicy::Workers(1),
-            other => other.clone(),
-        };
-        let supervised = Arc::new(SupervisedScorer::new(frozen, &shards, supervisor)?);
-        Self::serve(addr, supervised, policy, overload)
-    }
-
-    fn serve(
-        addr: impl ToSocketAddrs,
-        panel: Arc<dyn PanelScorer>,
-        policy: CoalescePolicy,
-        overload: OverloadPolicy,
-    ) -> Result<Self, ServeError> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let scorer = Arc::new(BatchScorer::start_with(
-            Arc::clone(&panel),
-            policy,
-            overload,
-        )?);
+        let scorer = Arc::new(BatchScorer::start_with(frozen, policy, overload)?);
         let conns: ConnSlab = Arc::new(Mutex::new(HashMap::new()));
         let acceptor = {
             let stop = Arc::clone(&stop);
             let scorer = Arc::clone(&scorer);
-            let panel = Arc::clone(&panel);
             let conns = Arc::clone(&conns);
             std::thread::Builder::new()
                 .name("quorum-acceptor".into())
                 .spawn(move || {
-                    accept_loop(&listener, &scorer, &panel, &conns, &stop);
+                    accept_loop(&listener, &scorer, &conns, &stop);
                 })
                 .map_err(|e| ServeError::spawn("quorum-acceptor", e))?
         };
@@ -285,7 +186,6 @@ impl QuorumServer {
             stop,
             acceptor: Some(acceptor),
             scorer,
-            panel,
             conns,
         })
     }
@@ -312,7 +212,7 @@ impl QuorumServer {
 
     /// The liveness snapshot a [`HEALTH_PROBE`] would answer right now.
     pub fn health_report(&self) -> HealthReport {
-        health_report(&self.scorer, self.panel.as_ref())
+        health_report(&self.scorer)
     }
 
     /// Connections currently tracked as live. Handlers remove their
@@ -353,21 +253,19 @@ impl Drop for QuorumServer {
     }
 }
 
-fn health_report(scorer: &BatchScorer, panel: &dyn PanelScorer) -> HealthReport {
+fn health_report(scorer: &BatchScorer) -> HealthReport {
     HealthReport {
         protocol_version: PROTOCOL_VERSION,
         queue_depth: scorer.queue_depth() as u64,
         shed_total: scorer.shed_total(),
         batches_dispatched: scorer.batches_dispatched(),
         samples_scored: scorer.samples_scored(),
-        shards: panel.shard_health(),
     }
 }
 
 fn accept_loop(
     listener: &TcpListener,
     scorer: &Arc<BatchScorer>,
-    panel: &Arc<dyn PanelScorer>,
     conns: &ConnSlab,
     stop: &Arc<AtomicBool>,
 ) {
@@ -407,13 +305,12 @@ fn accept_loop(
         }
         let handle = scorer.handle();
         let scorer_h = Arc::clone(scorer);
-        let panel_h = Arc::clone(panel);
         let conns_h = Arc::clone(conns);
         let finished_h = Arc::clone(&finished);
         match std::thread::Builder::new()
             .name("quorum-conn".into())
             .spawn(move || {
-                handle_connection(stream, &handle, &scorer_h, panel_h.as_ref());
+                handle_connection(stream, &handle, &scorer_h);
                 // Reap this connection's slab entry (dropping the cloned
                 // fd) and mark the JoinHandle collectable.
                 conns_h
@@ -456,7 +353,6 @@ fn handle_connection(
     mut stream: TcpStream,
     handle: &crate::batch::BatchHandle,
     scorer: &BatchScorer,
-    panel: &dyn PanelScorer,
 ) {
     // Per-connection pooled buffers: the request payload lands in one
     // bulk read (one syscall for all `n` values instead of one per
@@ -472,7 +368,7 @@ fn handle_connection(
         }
         let n = u32::from_le_bytes(len_buf);
         if n == HEALTH_PROBE {
-            if write_health(&mut stream, &health_report(scorer, panel), &mut frame).is_err() {
+            if write_health(&mut stream, &health_report(scorer), &mut frame).is_err() {
                 return;
             }
             continue;
@@ -846,7 +742,7 @@ impl ScoreClient {
     }
 
     /// Probes the server's health (protocol v2): batcher queue pressure,
-    /// shed totals and per-shard worker liveness.
+    /// shed totals and batch counters.
     ///
     /// # Errors
     ///
@@ -940,29 +836,42 @@ mod tests {
             shed_total: 11,
             batches_dispatched: 7,
             samples_scored: 19,
-            shards: vec![
-                ShardHealth {
-                    shard: 0,
-                    liveness: ShardLiveness::Live,
-                    restarts: 2,
-                    groups: 5,
-                },
-                ShardHealth {
-                    shard: 1,
-                    liveness: ShardLiveness::Retired,
-                    restarts: 4,
-                    groups: 0,
-                },
-                ShardHealth {
-                    shard: 2,
-                    liveness: ShardLiveness::BackingOff,
-                    restarts: 1,
-                    groups: 3,
-                },
-            ],
         };
-        let decoded = HealthReport::decode(&report.encode()).unwrap();
-        assert_eq!(decoded, report);
-        assert!(HealthReport::decode(&report.encode()[..7]).is_err());
+        let bytes = report.encode();
+        assert_eq!(HealthReport::decode(&bytes).unwrap(), report);
+        // Every truncation is a typed error, never a panic.
+        for cut in 0..bytes.len() {
+            assert!(HealthReport::decode(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn health_decode_skips_legacy_shard_rows_and_rejects_hostile_counts() {
+        let report = HealthReport {
+            protocol_version: PROTOCOL_VERSION,
+            queue_depth: 1,
+            shed_total: 2,
+            batches_dispatched: 3,
+            samples_scored: 4,
+        };
+        // An older v2 server's frame with two shard rows decodes to the
+        // same counters.
+        let mut legacy = report.encode();
+        legacy.truncate(legacy.len() - 4);
+        legacy.extend_from_slice(&2u32.to_le_bytes());
+        for shard in 0..2u32 {
+            legacy.extend_from_slice(&shard.to_le_bytes());
+            legacy.push(0);
+            legacy.extend_from_slice(&5u64.to_le_bytes());
+            legacy.extend_from_slice(&3u32.to_le_bytes());
+        }
+        assert_eq!(HealthReport::decode(&legacy).unwrap(), report);
+        assert!(HealthReport::decode(&legacy[..legacy.len() - 1]).is_err());
+        // A count far beyond the payload is a typed error.
+        let mut hostile = report.encode();
+        hostile.truncate(hostile.len() - 4);
+        hostile.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = HealthReport::decode(&hostile).unwrap_err();
+        assert!(matches!(err, ServeError::Artifact(_)), "got {err:?}");
     }
 }

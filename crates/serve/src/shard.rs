@@ -1,860 +1,64 @@
-//! Sharded multi-worker serving: partition the ensemble groups across
-//! scoring workers and vector-sum their additive partial scores.
+//! A worker-count adapter over the one group-parallel scoring path.
 //!
-//! Quorum's score is a plain sum over independent ensemble groups, which
-//! makes group sharding the natural scale-out seam: a [`ShardPlan`]
-//! assigns every group to one of K shards, a [`ShardedScorer`] fans each
-//! coalesced panel out to K resident worker threads (one per shard, each
-//! with its own engine and — because group subsets are disjoint — its own
-//! per-group caches), and the partial score vectors are summed back in
-//! **ascending group-index order**, exactly the accumulation order the
-//! single-process [`FrozenDetector::score_samples`] uses. Scores are
-//! therefore invariant to the shard plan the same way they are invariant
-//! to request coalescing: bit-identical for every K, engine assignment
-//! and execution mode.
+//! Quorum's score is a plain sum over independent ensemble groups, and
+//! [`FrozenDetector::score_samples`] already spreads the groups over the
+//! resident worker pool and sums their partials in ascending group
+//! order. A [`ShardedScorer`] runs that same path with an explicit number
+//! of pool participants, so its scores are bit-identical to
+//! `score_samples` for every worker count and execution mode.
 //!
-//! Plans balance groups by *cost*, not count: per-group weights come from
-//! the committed `BENCH_baseline.json` measurements when one is readable
-//! (`QUORUM_BENCH_BASELINE` overrides the path), falling back to a
-//! gate-count × engine-kind cost model, and a longest-processing-time
-//! pass assigns each group to the shard it finishes earliest on — which
-//! also handles heterogeneous shards, e.g. a noisy detector splitting
-//! groups between a dense-density shard and a structured-channel shard.
+//! It has no threads of its own. It exists only because the benchmark's
+//! layer probe and the engine bench's `serve_sharded*` columns construct
+//! it to compare worker counts.
 
-use crate::batch::PanelScorer;
 use crate::error::ServeError;
-use crate::frozen::{FrozenDetector, NormalizedPanel};
-use quorum_core::config::EngineKind;
-use quorum_core::engine::ScoringEngine;
-use quorum_core::{QuorumConfig, QuorumError};
-use std::cell::UnsafeCell;
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use crate::frozen::FrozenDetector;
+use std::sync::Arc;
 
-/// How a serving runtime splits its ensemble groups across workers.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[non_exhaustive]
+/// How many pool participants a [`ShardedScorer`] spreads the ensemble
+/// groups over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPolicy {
-    /// No sharding: one in-process scorer runs every group (the
-    /// single-worker runtime). Default.
-    #[default]
-    Single,
-    /// K worker shards, all running the frozen configuration's engine,
-    /// with groups cost-balanced across them.
+    /// K participants. Zero is rejected with [`ServeError::Request`].
     Workers(usize),
-    /// One worker shard per entry, each optionally overriding the engine
-    /// that evaluates its groups' deviations (`None` = the frozen
-    /// configuration's engine). Overrides must honour the frozen
-    /// execution mode — e.g. a noisy detector may mix
-    /// [`EngineKind::Density`] and [`EngineKind::DensityStructured`]
-    /// shards, but not a pure-state engine.
-    Mixed(Vec<Option<EngineKind>>),
 }
 
-impl ShardPolicy {
-    /// The per-shard engine assignments this policy asks for, or an error
-    /// for a degenerate policy. `Single` is the empty assignment — the
-    /// caller serves without a sharded scorer at all.
-    fn shard_engines(&self) -> Result<Vec<Option<EngineKind>>, ServeError> {
-        match self {
-            ShardPolicy::Single => Ok(Vec::new()),
-            ShardPolicy::Workers(0) => Err(ServeError::Request(
-                "a sharded scorer needs at least one worker shard".into(),
-            )),
-            ShardPolicy::Workers(k) => Ok(vec![None; *k]),
-            ShardPolicy::Mixed(engines) if engines.is_empty() => Err(ServeError::Request(
-                "a mixed shard policy needs at least one shard".into(),
-            )),
-            ShardPolicy::Mixed(engines) => Ok(engines.clone()),
-        }
-    }
-}
-
-/// One shard of a [`ShardPlan`]: the groups it scores (ascending) and the
-/// engine override it scores them with.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Shard {
-    groups: Vec<usize>,
-    engine: Option<EngineKind>,
-}
-
-impl Shard {
-    /// The group indices this shard owns, in ascending order.
-    pub fn groups(&self) -> &[usize] {
-        &self.groups
-    }
-
-    /// The engine override this shard scores with (`None` = the frozen
-    /// configuration's engine).
-    pub fn engine(&self) -> Option<EngineKind> {
-        self.engine
-    }
-}
-
-/// A cost-balanced assignment of every ensemble group to one shard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlan {
-    shards: Vec<Shard>,
-}
-
-impl ShardPlan {
-    /// Plans the given policy over a frozen detector: derives per-group
-    /// cost weights (measured baseline metrics when available, gate-count
-    /// model otherwise) and balances groups across the policy's shards.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Request`] for degenerate policies (zero shards).
-    pub fn for_detector(
-        frozen: &FrozenDetector,
-        policy: &ShardPolicy,
-    ) -> Result<ShardPlan, ServeError> {
-        let engines = policy.shard_engines()?;
-        if engines.is_empty() {
-            // `Single` still yields a valid one-shard plan so callers can
-            // treat every policy uniformly when they want to.
-            return ShardPlan::balanced(&group_costs(frozen), &[1.0], &[None]);
-        }
-        let noisy = matches!(
-            frozen.config().execution,
-            quorum_core::config::ExecutionMode::Noisy { .. }
-        );
-        let default_kind = frozen.config().effective_engine();
-        let baseline = BaselineCosts::load();
-        let speeds: Vec<f64> = engines
-            .iter()
-            .map(|e| engine_cost_weight(e.unwrap_or(default_kind), noisy, baseline.as_ref()))
-            .collect();
-        ShardPlan::balanced(&group_costs(frozen), &speeds, &engines)
-    }
-
-    /// Cost-balanced assignment: a longest-processing-time pass places
-    /// each group (heaviest first, ties broken by ascending index) on the
-    /// shard whose load-after-assignment is smallest, where a group's
-    /// cost on shard `s` is `group_cost × shard_weight[s]` — so a slower
-    /// engine's shard receives proportionally fewer groups. Deterministic
-    /// for fixed inputs; each shard's group list comes back ascending.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Request`] when `shard_weights` is empty (a plan
-    /// needs at least one shard to put groups on) or its length differs
-    /// from `shard_engines`.
-    pub fn balanced(
-        group_costs: &[f64],
-        shard_weights: &[f64],
-        shard_engines: &[Option<EngineKind>],
-    ) -> Result<ShardPlan, ServeError> {
-        if shard_weights.len() != shard_engines.len() {
-            return Err(ServeError::Request(format!(
-                "shard weights ({}) and engine assignments ({}) disagree on the shard count",
-                shard_weights.len(),
-                shard_engines.len()
-            )));
-        }
-        if shard_weights.is_empty() {
-            return Err(ServeError::Request(
-                "a shard plan needs at least one shard".into(),
-            ));
-        }
-        let mut order: Vec<usize> = (0..group_costs.len()).collect();
-        order.sort_by(|&a, &b| {
-            group_costs[b]
-                .partial_cmp(&group_costs[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let mut loads = vec![0.0f64; shard_weights.len()];
-        let mut shards: Vec<Shard> = shard_engines
-            .iter()
-            .map(|&engine| Shard {
-                groups: Vec::new(),
-                engine,
-            })
-            .collect();
-        for g in order {
-            let cost = group_costs[g].max(0.0);
-            // The emptiness check above guarantees a minimum exists.
-            let mut best = 0usize;
-            let mut best_load = f64::INFINITY;
-            for (s, &load) in loads.iter().enumerate() {
-                let would_be = load + cost * shard_weights[s].max(f64::MIN_POSITIVE);
-                if would_be < best_load {
-                    best = s;
-                    best_load = would_be;
-                }
-            }
-            loads[best] = best_load;
-            shards[best].groups.push(g);
-        }
-        for shard in &mut shards {
-            shard.groups.sort_unstable();
-        }
-        Ok(ShardPlan { shards })
-    }
-
-    /// The plan's shards.
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
-    }
-
-    /// Total number of worker shards (including empty ones).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-}
-
-/// Per-group cost weights from the gate-count model: every group pays for
-/// its encoder twice (encoder + mirrored decoder) per compression level,
-/// plus the level's reset channels. Groups drawn from one configuration
-/// share a gate skeleton, so this is near-uniform today — the seam exists
-/// for heterogeneous ensembles (e.g. trained encoders of varying depth).
-fn group_costs(frozen: &FrozenDetector) -> Vec<f64> {
-    let levels = frozen.config().effective_compression_levels();
-    frozen
-        .groups()
-        .iter()
-        .map(|group| {
-            let encoder_ops: usize = group
-                .ansatz()
-                .encoder()
-                .count_ops()
-                .iter()
-                .map(|(_, n)| n)
-                .sum();
-            let resets: usize = levels.iter().sum();
-            (2 * encoder_ops * levels.len() + resets).max(1) as f64
-        })
-        .collect()
-}
-
-/// Relative per-sample cost of one engine kind, preferring measured
-/// baseline metrics and falling back to constants taken from the same
-/// measurement history. Only ratios between kinds matter: they decide how
-/// many groups a slower shard can afford.
-fn engine_cost_weight(kind: EngineKind, noisy: bool, baseline: Option<&BaselineCosts>) -> f64 {
-    let measured = baseline.and_then(|b| b.engine_ns_per_sample(kind, noisy));
-    measured.unwrap_or(match kind {
-        EngineKind::Batched => 5_100.0,
-        EngineKind::Analytic => 13_400.0,
-        EngineKind::Density => 7_800.0,
-        EngineKind::DensityStructured => 16_000.0,
-        EngineKind::DensitySample => 28_800.0,
-        EngineKind::Circuit => {
-            if noisy {
-                813_000_000.0
-            } else {
-                1_710_000.0
-            }
-        }
-        // `Auto` never reaches here (callers resolve it first), and new
-        // kinds default to parity until measured.
-        _ => 10_000.0,
-    })
-}
-
-/// The flat `"key": value` metric map of a `BENCH_baseline.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineCosts {
-    metrics: BTreeMap<String, f64>,
-}
-
-impl BaselineCosts {
-    /// Reads the baseline the environment points at: the
-    /// `QUORUM_BENCH_BASELINE` path when set, else `BENCH_baseline.json`
-    /// in the working directory. Any read or parse failure degrades to
-    /// `None` — the cost model falls back to its constants, never errors.
-    pub fn load() -> Option<BaselineCosts> {
-        let path = std::env::var("QUORUM_BENCH_BASELINE")
-            .unwrap_or_else(|_| "BENCH_baseline.json".to_string());
-        Self::parse(&std::fs::read_to_string(path).ok()?)
-    }
-
-    /// Parses the flat `"key": value` lines of the bench JSON's `metrics`
-    /// object (the exact format `engine_comparison.rs` emits). Returns
-    /// `None` when no metric parses.
-    pub fn parse(text: &str) -> Option<BaselineCosts> {
-        let mut metrics = BTreeMap::new();
-        let mut in_metrics = false;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.starts_with("\"metrics\"") {
-                in_metrics = true;
-                continue;
-            }
-            if !in_metrics {
-                continue;
-            }
-            if line.starts_with('}') {
-                break;
-            }
-            let Some((key, value)) = line.split_once(':') else {
-                continue;
-            };
-            if let Ok(v) = value.trim().trim_end_matches(',').parse::<f64>() {
-                metrics.insert(key.trim().trim_matches('"').to_string(), v);
-            }
-        }
-        if metrics.is_empty() {
-            None
-        } else {
-            Some(BaselineCosts { metrics })
-        }
-    }
-
-    /// The measured ns/sample for one engine kind, when the baseline
-    /// carries the matching column. The structured and per-sample density
-    /// kinds are derived from their measured ratios against the batched
-    /// density column, since the baseline benches them on different
-    /// shapes.
-    pub fn engine_ns_per_sample(&self, kind: EngineKind, noisy: bool) -> Option<f64> {
-        let get = |k: &str| self.metrics.get(k).copied().filter(|v| *v > 0.0);
-        match kind {
-            EngineKind::Batched => get("batched_ns_per_sample"),
-            EngineKind::Analytic => get("analytic_ns_per_sample"),
-            EngineKind::Density => {
-                get("density_batched_ns_per_sample").or_else(|| get("density_ns_per_sample"))
-            }
-            EngineKind::DensityStructured => {
-                let dense = self.engine_ns_per_sample(EngineKind::Density, noisy)?;
-                let ratio = get("structured_n5_ns_per_sample")? / get("dense_n5_ns_per_sample")?;
-                Some(dense * ratio)
-            }
-            EngineKind::DensitySample => get("density_per_sample_ns_per_sample"),
-            EngineKind::Circuit => {
-                if noisy {
-                    get("noisy_circuit_ns_per_sample")
-                } else {
-                    get("circuit_ns_per_sample")
-                }
-            }
-            _ => None,
-        }
-    }
-}
-
-/// Interior-mutable buffer shared between the coordinator and the shard
-/// workers. Access is epoch-fenced, never locked during the hot section:
-/// the coordinator writes only while no panel is in flight (publish
-/// happens under the state mutex, which establishes the happens-before
-/// edge), and workers touch disjoint regions — the panel read-only, and
-/// each group's slab row exclusively (the plan assigns every group to
-/// exactly one shard).
-struct ShardCell<T>(UnsafeCell<T>);
-
-// Safety: see the access protocol on [`ShardShared`] — every access is
-// ordered by the state mutex, and concurrent writers never alias.
-unsafe impl<T: Send> Sync for ShardCell<T> {}
-
-impl<T> ShardCell<T> {
-    fn get(&self) -> *mut T {
-        self.0.get()
-    }
-}
-
-/// Coordinator/worker rendezvous state for one [`ShardedScorer`].
-struct ShardState {
-    /// Bumped once per published panel; workers score each epoch once.
-    epoch: u64,
-    /// Samples in the in-flight panel (slab rows are this wide).
-    samples: usize,
-    first_sample_id: u64,
-    /// Workers that have not yet finished the in-flight epoch.
-    remaining: usize,
-    /// Worker threads still alive (a panicked worker leaves for good).
-    live: usize,
-    /// Set when a worker dies mid-panel; the scorer is then permanently
-    /// degraded (same contract as a closed worker channel before).
-    died: bool,
-    shutdown: bool,
-    /// Per-group scoring failures of the in-flight epoch.
-    errors: Vec<(usize, QuorumError)>,
-}
-
-/// Everything the resident shard workers share with the coordinator: the
-/// rendezvous state, the normalized panel (written by the coordinator
-/// between epochs, read by every worker during one), and the per-group
-/// partial-sum slab (`num_groups × samples`, each group's row written by
-/// exactly one worker).
-struct ShardShared {
-    state: Mutex<ShardState>,
-    /// Workers wait here for the next epoch (or shutdown).
-    job_cv: Condvar,
-    /// The coordinator waits here for `remaining == 0`.
-    done_cv: Condvar,
-    panel: ShardCell<NormalizedPanel>,
-    slab: ShardCell<Vec<f64>>,
-    num_groups: usize,
-}
-
-/// K resident shard workers over one frozen detector, scoring coalesced
-/// panels as the vector sum of per-shard partial scores.
-///
-/// Dispatch is a shared-memory rendezvous, not a per-panel channel
-/// round-trip: the coordinator normalises into a resident panel buffer,
-/// bumps an epoch under the state mutex, and parked workers score their
-/// groups straight into pre-sliced rows of a resident partial-sum slab —
-/// no per-panel allocations, sends, or reply receivers on the steady
-/// path. Concurrent `score_samples` calls serialise on the coordinator
-/// lock (they time-share the same worker fleet either way).
-///
-/// Bit-identity contract: for any plan produced by any [`ShardPolicy`]
-/// whose shards all run the frozen configuration's engine,
-/// [`ShardedScorer::score_samples`] equals
-/// [`FrozenDetector::score_samples`] bit for bit — per-group partials are
-/// computed identically and merged in ascending group-index order, the
-/// single-process accumulation order. With per-shard engine overrides the
-/// same holds against a single process that evaluates each group with the
-/// same assigned engine.
+/// [`FrozenDetector::score_samples`] with a fixed worker count (see the
+/// module docs).
+#[derive(Debug)]
 pub struct ShardedScorer {
     frozen: Arc<FrozenDetector>,
-    plan: ShardPlan,
-    shared: Arc<ShardShared>,
-    /// Serialises panel publication (one panel in flight at a time).
-    coordinator: Mutex<()>,
-    workers: Vec<Option<JoinHandle<()>>>,
-}
-
-impl std::fmt::Debug for ShardedScorer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedScorer")
-            .field("shards", &self.plan.num_shards())
-            .field("plan", &self.plan)
-            .finish_non_exhaustive()
-    }
+    workers: usize,
 }
 
 impl ShardedScorer {
-    /// Plans `policy` over `frozen` and starts one resident worker thread
-    /// per shard. Engine overrides are validated against the frozen
-    /// execution mode up front, and every shard's noisy caches are
-    /// pre-warmed for the engine that shard will actually run, so the
-    /// first request pays no fusion or lowering.
+    /// An adapter scoring `frozen` with the policy's worker count.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Request`] for degenerate policies;
-    /// [`ServeError::Quorum`] for engine overrides the execution mode
-    /// rejects.
+    /// [`ServeError::Request`] for `Workers(0)`.
     pub fn new(frozen: Arc<FrozenDetector>, policy: &ShardPolicy) -> Result<Self, ServeError> {
-        let plan = ShardPlan::for_detector(&frozen, policy)?;
-        Self::with_plan(frozen, plan)
+        match *policy {
+            ShardPolicy::Workers(0) => Err(ServeError::Request(
+                "a sharded scorer needs at least one worker".into(),
+            )),
+            ShardPolicy::Workers(workers) => Ok(ShardedScorer { frozen, workers }),
+        }
     }
 
-    /// Starts workers for an explicit plan (the equivalence suite uses
-    /// this to pin score invariance across hand-built plans).
+    /// Scores a panel of streamed rows on the group-parallel path with
+    /// this scorer's worker count — bit-identical to
+    /// [`FrozenDetector::score_samples`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ShardedScorer::new`].
-    pub fn with_plan(frozen: Arc<FrozenDetector>, plan: ShardPlan) -> Result<Self, ServeError> {
-        let mut seen = vec![false; frozen.groups().len()];
-        for shard in plan.shards() {
-            for &g in shard.groups() {
-                if g >= seen.len() || seen[g] {
-                    return Err(ServeError::Request(format!(
-                        "shard plan assigns group {g} out of range or twice"
-                    )));
-                }
-                seen[g] = true;
-            }
-        }
-        if !seen.iter().all(|&s| s) {
-            return Err(ServeError::Request(
-                "shard plan leaves at least one group unassigned".into(),
-            ));
-        }
-        let shared = Arc::new(ShardShared {
-            state: Mutex::new(ShardState {
-                epoch: 0,
-                samples: 0,
-                first_sample_id: 0,
-                remaining: 0,
-                live: plan.num_shards(),
-                died: false,
-                shutdown: false,
-                errors: Vec::new(),
-            }),
-            job_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            panel: ShardCell(UnsafeCell::new(NormalizedPanel::default())),
-            slab: ShardCell(UnsafeCell::new(Vec::new())),
-            num_groups: frozen.groups().len(),
-        });
-        let mut workers = Vec::with_capacity(plan.num_shards());
-        for (s, shard) in plan.shards().iter().enumerate() {
-            // Validate the override and pre-warm this shard's groups for
-            // the engine the shard will run, before any worker spawns.
-            let (engine, exact_config) = frozen.resolve_stream_engine(shard.engine())?;
-            if let Some(kind) = shard.engine() {
-                frozen.prewarm_groups(kind, shard.groups())?;
-            }
-            let frozen_w = Arc::clone(&frozen);
-            let shared_w = Arc::clone(&shared);
-            let groups = shard.groups().to_vec();
-            let levels = frozen.stream_levels();
-            let join = std::thread::Builder::new()
-                .name(format!("quorum-shard-{s}"))
-                .spawn(move || {
-                    shard_worker_loop(
-                        &frozen_w,
-                        &shared_w,
-                        &groups,
-                        engine,
-                        &exact_config,
-                        &levels,
-                    )
-                })
-                .map_err(|e| ServeError::spawn(&format!("quorum-shard-{s}"), e))?;
-            workers.push(Some(join));
-        }
-        Ok(ShardedScorer {
-            frozen,
-            plan,
-            shared,
-            coordinator: Mutex::new(()),
-            workers,
-        })
-    }
-
-    /// The plan this scorer executes.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// The underlying frozen detector.
-    pub fn frozen(&self) -> &Arc<FrozenDetector> {
-        &self.frozen
-    }
-
-    /// Scores a panel of streamed rows: normalises once into the resident
-    /// shared panel, publishes one epoch to the parked workers, and sums
-    /// the per-group slab rows in ascending group-index order —
-    /// bit-identical to [`FrozenDetector::score_samples`] under the same
-    /// per-group engine assignment, for every shard plan.
-    ///
-    /// # Errors
-    ///
-    /// Row validation and scoring failures as in
-    /// [`FrozenDetector::score_samples`]; [`ServeError::Io`] when a shard
-    /// worker has died. When several groups fail, the lowest-indexed
-    /// group's error is reported (the single-process order).
+    /// As [`FrozenDetector::score_samples`].
     pub fn score_samples(
         &self,
         rows: &[Vec<f64>],
         first_sample_id: u64,
     ) -> Result<Vec<f64>, ServeError> {
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _turn = self
-            .coordinator
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        {
-            let state = self
-                .shared
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if state.died || state.live < self.workers.len() {
-                return Err(worker_gone());
-            }
-        }
-        // No epoch is in flight (the coordinator lock is held and the
-        // previous epoch drained), so the panel and slab are exclusively
-        // ours to write.
-        let samples = rows.len();
-        {
-            let panel = unsafe { &mut *self.shared.panel.get() };
-            self.frozen.normalize_rows_into(rows, panel)?;
-            let slab = unsafe { &mut *self.shared.slab.get() };
-            slab.clear();
-            slab.resize(self.shared.num_groups * samples, 0.0);
-        }
-        let errors = {
-            let mut state = self
-                .shared
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state.epoch += 1;
-            state.samples = samples;
-            state.first_sample_id = first_sample_id;
-            state.remaining = state.live;
-            state.errors.clear();
-            self.shared.job_cv.notify_all();
-            while state.remaining > 0 {
-                state = self
-                    .shared
-                    .done_cv
-                    .wait(state)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            if state.died {
-                return Err(worker_gone());
-            }
-            std::mem::take(&mut state.errors)
-        };
-        if let Some((_, e)) = errors.into_iter().min_by_key(|&(g, _)| g) {
-            return Err(ServeError::Quorum(e));
-        }
-        // Every worker has finished (observed under the state mutex), so
-        // the slab is quiescent and fully written: merge ascending.
-        let slab = unsafe { &*self.shared.slab.get() };
-        let mut totals = vec![0.0; samples];
-        for g in 0..self.shared.num_groups {
-            let row = &slab[g * samples..(g + 1) * samples];
-            for (t, &p) in totals.iter_mut().zip(row) {
-                *t += p;
-            }
-        }
-        Ok(totals)
-    }
-}
-
-impl Drop for ShardedScorer {
-    fn drop(&mut self) {
-        {
-            let mut state = self
-                .shared
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state.shutdown = true;
-            self.shared.job_cv.notify_all();
-        }
-        for worker in &mut self.workers {
-            if let Some(join) = worker.take() {
-                let _ = join.join();
-            }
-        }
-    }
-}
-
-/// The resident shard worker body: park on the epoch condvar, score the
-/// owned groups of each published panel straight into their slab rows,
-/// report completion, repeat. A panicking panel marks the scorer dead
-/// (after decrementing `remaining` so the coordinator never hangs) and
-/// exits the thread.
-fn shard_worker_loop(
-    frozen: &FrozenDetector,
-    shared: &ShardShared,
-    groups: &[usize],
-    engine: &'static dyn ScoringEngine,
-    exact_config: &QuorumConfig,
-    levels: &[usize],
-) {
-    let mut last_epoch = 0u64;
-    loop {
-        let (samples, first_sample_id) = {
-            let mut state = shared
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if state.epoch != last_epoch {
-                    break;
-                }
-                state = shared
-                    .job_cv
-                    .wait(state)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            last_epoch = state.epoch;
-            (state.samples, state.first_sample_id)
-        };
-        // Outside the lock: read the shared panel, write this shard's
-        // disjoint slab rows. The epoch handshake above orders these
-        // accesses against the coordinator's writes.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let panel_buf = unsafe { &*shared.panel.get() };
-            let panel = panel_buf.as_panel();
-            let slab = shared.slab.get();
-            let mut failures: Vec<(usize, QuorumError)> = Vec::new();
-            for &g in groups {
-                // Safety: the plan assigns each group to exactly one
-                // shard, so this row is ours alone for this epoch.
-                let row = unsafe {
-                    std::slice::from_raw_parts_mut((*slab).as_mut_ptr().add(g * samples), samples)
-                };
-                if let Err(e) = frozen.stream_scores_for_group_with_into(
-                    engine,
-                    exact_config,
-                    g,
-                    &panel,
-                    levels,
-                    first_sample_id,
-                    row,
-                ) {
-                    failures.push((g, e));
-                }
-            }
-            failures
-        }));
-        let mut state = shared
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let dying = match outcome {
-            Ok(failures) => {
-                state.errors.extend(failures);
-                false
-            }
-            Err(_) => {
-                state.died = true;
-                state.live -= 1;
-                true
-            }
-        };
-        state.remaining -= 1;
-        if state.remaining == 0 {
-            shared.done_cv.notify_all();
-        }
-        if dying {
-            return;
-        }
-    }
-}
-
-impl PanelScorer for ShardedScorer {
-    fn num_features(&self) -> usize {
-        self.frozen.num_features()
-    }
-
-    fn score_panel(&self, rows: &[Vec<f64>], first_sample_id: u64) -> Result<Vec<f64>, ServeError> {
-        self.score_samples(rows, first_sample_id)
-    }
-}
-
-fn worker_gone() -> ServeError {
-    ServeError::Io(std::io::Error::new(
-        std::io::ErrorKind::BrokenPipe,
-        "a shard worker has shut down",
-    ))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn balanced_covers_every_group_exactly_once() {
-        let costs = vec![1.0; 10];
-        let plan = ShardPlan::balanced(&costs, &[1.0, 1.0, 1.0], &[None, None, None]).unwrap();
-        let mut seen = vec![0usize; costs.len()];
-        for shard in plan.shards() {
-            assert!(shard.groups().windows(2).all(|w| w[0] < w[1]));
-            for &g in shard.groups() {
-                seen[g] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1));
-        // Uniform costs: balanced counts (10 over 3 ⇒ 4/3/3).
-        let mut sizes: Vec<usize> = plan.shards().iter().map(|s| s.groups().len()).collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![3, 3, 4]);
-    }
-
-    #[test]
-    fn balanced_is_cost_aware_not_count_aware() {
-        // One heavyweight group must travel alone: LPT puts the 10.0
-        // group on its own shard and packs the six light groups opposite.
-        let costs = vec![10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
-        let plan = ShardPlan::balanced(&costs, &[1.0, 1.0], &[None, None]).unwrap();
-        let with_heavy = plan
-            .shards()
-            .iter()
-            .find(|s| s.groups().contains(&0))
-            .unwrap();
-        assert_eq!(with_heavy.groups(), &[0]);
-        let other = plan.shards().iter().find(|s| !s.groups().contains(&0));
-        assert_eq!(other.unwrap().groups().len(), 6);
-    }
-
-    #[test]
-    fn balanced_respects_shard_speed_weights() {
-        // A shard whose engine is 4× slower should receive ~1/4 the work
-        // of a fast shard under uniform group costs.
-        let costs = vec![1.0; 10];
-        let plan = ShardPlan::balanced(&costs, &[1.0, 4.0], &[None, None]).unwrap();
-        assert_eq!(plan.shards()[0].groups().len(), 8);
-        assert_eq!(plan.shards()[1].groups().len(), 2);
-    }
-
-    #[test]
-    fn balanced_is_deterministic_and_tolerates_empty_shards() {
-        let costs = vec![3.0, 1.0, 2.0];
-        let a = ShardPlan::balanced(&costs, &[1.0; 5], &[None; 5]).unwrap();
-        let b = ShardPlan::balanced(&costs, &[1.0; 5], &[None; 5]).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.num_shards(), 5);
-        let assigned: usize = a.shards().iter().map(|s| s.groups().len()).sum();
-        assert_eq!(assigned, costs.len());
-        assert!(a.shards().iter().any(|s| s.groups().is_empty()));
-    }
-
-    #[test]
-    fn baseline_costs_parse_the_bench_format() {
-        let text = r#"{
-  "config": { "data_qubits": 3 },
-  "metrics": {
-    "batched_ns_per_sample": 5126.021,
-    "analytic_ns_per_sample": 13425.125,
-    "density_batched_ns_per_sample": 7811.594,
-    "density_per_sample_ns_per_sample": 28760.021,
-    "dense_n5_ns_per_sample": 1387566.208,
-    "structured_n5_ns_per_sample": 1068530.833,
-    "noisy_circuit_ns_per_sample": 813516036.750
-  }
-}"#;
-        let costs = BaselineCosts::parse(text).unwrap();
-        assert_eq!(
-            costs.engine_ns_per_sample(EngineKind::Batched, false),
-            Some(5126.021)
-        );
-        let structured = costs
-            .engine_ns_per_sample(EngineKind::DensityStructured, true)
-            .unwrap();
-        // Derived: dense column × measured structured/dense ratio.
-        assert!((structured - 7811.594 * (1068530.833 / 1387566.208)).abs() < 1e-6);
-        assert_eq!(
-            costs.engine_ns_per_sample(EngineKind::Circuit, true),
-            Some(813516036.750)
-        );
-        assert!(BaselineCosts::parse("not json at all").is_none());
-        assert!(BaselineCosts::parse("{\"metrics\": {}}").is_none());
-    }
-
-    #[test]
-    fn policy_rejects_degenerate_shapes() {
-        assert!(ShardPolicy::Workers(0).shard_engines().is_err());
-        assert!(ShardPolicy::Mixed(Vec::new()).shard_engines().is_err());
-        assert_eq!(
-            ShardPolicy::Workers(3).shard_engines().unwrap(),
-            vec![None; 3]
-        );
-        assert!(ShardPolicy::Single.shard_engines().unwrap().is_empty());
-    }
-
-    #[test]
-    fn balanced_rejects_degenerate_plans_with_typed_errors() {
-        // Zero shards and mismatched shard lists must come back as
-        // request errors, never panics.
-        let empty = ShardPlan::balanced(&[1.0, 2.0], &[], &[]);
-        assert!(matches!(empty, Err(ServeError::Request(_))), "{empty:?}");
-        let mismatched = ShardPlan::balanced(&[1.0], &[1.0, 1.0], &[None]);
-        assert!(
-            matches!(mismatched, Err(ServeError::Request(_))),
-            "{mismatched:?}"
-        );
-        // No groups is fine: every shard simply comes back empty.
-        let no_groups = ShardPlan::balanced(&[], &[1.0, 1.0], &[None, None]).unwrap();
-        assert!(no_groups.shards().iter().all(|s| s.groups().is_empty()));
+        self.frozen
+            .score_samples_on(rows, first_sample_id, self.workers)
     }
 }

@@ -1,14 +1,15 @@
-//! Chaos suite: deterministic fault injection against the supervised
-//! serving runtime.
+//! Chaos suite: deterministic fault injection against the serving
+//! runtime's one scoring path.
 //!
 //! Compiled only under the `failpoints` feature (`cargo test -p
 //! quorum-serve --features failpoints --test chaos`). Every test arms a
-//! deterministic schedule in `quorum_serve::fault`, drives the runtime
-//! through crash → restart → re-plan, and asserts the one property that
-//! matters: **scores stay bit-identical to an uninterrupted run**. The
-//! additive per-group merge in ascending group order makes any
-//! group→worker placement equivalent, so fault recovery is pure
-//! re-planning — these tests pin that no recovery path forgets it.
+//! deterministic schedule in `quorum_serve::fault` — mostly at the
+//! `"frozen::group"` site inside the per-group job of
+//! `FrozenDetector::score_samples` — and asserts the one property that
+//! matters: **scores stay bit-identical to an uninterrupted run**, or
+//! fail with a typed error when the in-place retry budget runs out. The
+//! additive per-group merge in ascending group order makes a retried
+//! group indistinguishable from one that never failed.
 //!
 //! The failpoint registry is process-global, so every test serialises
 //! on `fault::tests_serialized()` and resets the registry when done.
@@ -20,12 +21,15 @@ use qsim::NoiseModel;
 use quorum_core::config::{EngineKind, ExecutionMode};
 use quorum_core::QuorumConfig;
 use quorum_serve::fault::{self, FaultAction, FaultSpec};
+use quorum_serve::frozen::GROUP_RETRIES;
 use quorum_serve::{
     CoalescePolicy, FrozenDetector, OverloadPolicy, QuorumServer, RetryPolicy, ScoreClient,
-    ServeError, ShardLiveness, ShardPolicy, SupervisedScorer, SupervisorPolicy,
+    ServeError,
 };
 use std::sync::Arc;
 use std::time::Duration;
+
+const SITE: &str = "frozen::group";
 
 /// A deterministic 12×7 reference set (same recipe as the serving suite).
 fn reference() -> Dataset {
@@ -61,133 +65,51 @@ fn base_config() -> QuorumConfig {
         .with_seed(0x5EEF_1E55)
 }
 
-/// A supervisor policy tuned for tests: fast backoff, generous budgets.
-fn fast_supervisor() -> SupervisorPolicy {
-    SupervisorPolicy {
-        max_restarts: 5,
-        backoff_base: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(10),
-        request_retries: 3,
-    }
-}
-
-/// A worker killed mid-stream restarts and the stream's scores stay
-/// bit-identical to an uninterrupted run — the fast always-on version
-/// of the kill-worker soak.
+/// A group that panics mid-panel is re-scored in place and the panel
+/// stays bit-identical to an uninterrupted run.
 #[test]
-fn killed_worker_restarts_and_scores_stay_bit_identical() {
+fn panicking_group_is_retried_in_place_bit_identically() {
     let _serial = fault::tests_serialized();
     fault::reset();
-    let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
+    let frozen = FrozenDetector::freeze(base_config(), &reference()).unwrap();
+    let groups = frozen.groups().len() as u64;
     let rows = stream_rows(4);
     let direct = frozen.score_samples(&rows, 0).unwrap();
-    let scorer = SupervisedScorer::new(
-        Arc::clone(&frozen),
-        &ShardPolicy::Workers(3),
-        fast_supervisor(),
-    )
-    .unwrap();
-    // Panel 1 fans out one job per worker (hits 1..=3); exactly one of
-    // them — whichever worker draws hit 2 — panics mid-panel. Which
-    // worker dies is scheduling-dependent; the scores must not be.
-    fault::arm(
-        "supervisor::worker",
-        FaultSpec::on_hit(FaultAction::Panic, 2),
-    );
-    for _ in 0..3 {
-        let survived = scorer.score_samples(&rows, 0).unwrap();
-        assert_eq!(survived, direct, "fault recovery must not move a bit");
-        // Let the crashed worker's 1ms backoff lapse so a later panel
-        // exercises the restart path, not just the transient fold.
-        std::thread::sleep(Duration::from_millis(5));
+    // Exactly one attempt panics — whichever group draws hit 2. Which
+    // group that is depends on scheduling; the scores must not.
+    fault::arm(SITE, FaultSpec::on_hit(FaultAction::Panic, 2));
+    assert_eq!(frozen.score_samples(&rows, 0).unwrap(), direct);
+    assert_eq!(fault::hits(SITE), groups + 1, "one retry, in place");
+    for _ in 0..2 {
+        assert_eq!(frozen.score_samples(&rows, 0).unwrap(), direct);
     }
-    assert_eq!(
-        scorer.restarts_total(),
-        1,
-        "exactly one worker death, exactly one restart"
-    );
-    assert_eq!(scorer.refolds_total(), 0);
-    let health = scorer.shard_health();
-    assert!(health.iter().all(|s| s.liveness == ShardLiveness::Live));
-    assert_eq!(health.iter().map(|s| s.restarts).sum::<u64>(), 1);
-    assert_eq!(
-        health.iter().map(|s| s.groups).sum::<usize>(),
-        frozen.groups().len()
-    );
     fault::reset();
 }
 
-/// Past its restart budget a shard is retired and its groups re-fold
-/// into the survivors — service continues, scores unchanged.
+/// Slow groups reorder completion but never change a score.
 #[test]
-fn retired_shard_refolds_groups_into_survivors_bit_identically() {
+fn delayed_groups_do_not_change_scores() {
     let _serial = fault::tests_serialized();
     fault::reset();
-    let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
-    let rows = stream_rows(3);
-    let direct = frozen.score_samples(&rows, 0).unwrap();
-    let policy = SupervisorPolicy {
-        max_restarts: 0, // first death retires the shard
-        ..fast_supervisor()
-    };
-    let scorer =
-        SupervisedScorer::new(Arc::clone(&frozen), &ShardPolicy::Workers(2), policy).unwrap();
-    // One job of the first panel panics; with a zero restart budget the
-    // dead shard retires immediately and its groups move to the
-    // survivor for good.
-    fault::arm(
-        "supervisor::worker",
-        FaultSpec::on_hit(FaultAction::Panic, 1),
-    );
-    assert_eq!(scorer.score_samples(&rows, 0).unwrap(), direct);
-    assert_eq!(scorer.refolds_total(), 1, "retirement must re-fold once");
-    let health = scorer.shard_health();
-    let retired: Vec<_> = health
-        .iter()
-        .filter(|s| s.liveness == ShardLiveness::Retired)
-        .collect();
-    assert_eq!(retired.len(), 1);
-    assert_eq!(retired[0].groups, 0, "a retired shard owns nothing");
-    assert_eq!(
-        health.iter().map(|s| s.groups).sum::<usize>(),
-        frozen.groups().len(),
-        "every group must land on a survivor"
-    );
-    // The shrunken fleet keeps serving bit-identically.
-    assert_eq!(scorer.score_samples(&rows, 7).unwrap(), direct);
-    fault::reset();
-}
-
-/// Delayed shard replies reorder completion but never change a score.
-#[test]
-fn delayed_shard_replies_do_not_change_scores() {
-    let _serial = fault::tests_serialized();
-    fault::reset();
-    let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
+    let frozen = FrozenDetector::freeze(base_config(), &reference()).unwrap();
     let rows = stream_rows(4);
     let direct = frozen.score_samples(&rows, 0).unwrap();
-    let scorer = SupervisedScorer::new(
-        Arc::clone(&frozen),
-        &ShardPolicy::Workers(3),
-        fast_supervisor(),
-    )
-    .unwrap();
-    // Every third worker job answers slow — partial vectors arrive out
-    // of shard order, and the ascending-group merge must not care.
+    // Every third group job finishes late — partials complete out of
+    // group order, and the ascending-group merge must not care.
     fault::arm(
-        "supervisor::worker",
+        SITE,
         FaultSpec::every(FaultAction::Delay(Duration::from_millis(20)), 3, 0),
     );
     for first_id in [0u64, 4, 8] {
-        assert_eq!(scorer.score_samples(&rows, first_id).unwrap(), direct);
+        assert_eq!(frozen.score_samples(&rows, first_id).unwrap(), direct);
     }
-    assert_eq!(scorer.restarts_total(), 0, "delays are not deaths");
     fault::reset();
 }
 
 /// A crashed lock holder poisons the per-group derived caches; the
-/// byte-bounded caches recover the poisoned mutexes and scoring —
-/// including the noisy fused-superoperator path — stays bit-identical.
+/// byte-bounded caches recover the poisoned mutexes, nothing is purged,
+/// and scoring — including the noisy fused-superoperator path — stays
+/// bit-identical without rebuilding a single entry.
 #[test]
 fn poisoned_caches_are_absorbed_bit_identically() {
     let _serial = fault::tests_serialized();
@@ -199,64 +121,96 @@ fn poisoned_caches_are_absorbed_bit_identically() {
             noise: NoiseModel::brisbane(),
             shots: None,
         });
-    let frozen = Arc::new(FrozenDetector::freeze(config, &reference()).unwrap());
+    let frozen = FrozenDetector::freeze(config, &reference()).unwrap();
     let rows = stream_rows(2);
     let direct = frozen.score_samples(&rows, 0).unwrap();
-    let scorer = SupervisedScorer::new(
-        Arc::clone(&frozen),
-        &ShardPolicy::Workers(2),
-        fast_supervisor(),
-    )
-    .unwrap();
-    fault::arm(
-        "supervisor::worker",
-        FaultSpec::on_hits(FaultAction::PoisonCaches, &[1, 2]),
-    );
-    assert_eq!(scorer.score_samples(&rows, 0).unwrap(), direct);
-    assert_eq!(
-        scorer.restarts_total(),
-        0,
-        "poison must be absorbed, not fatal"
-    );
-    // And again with warm (recovered) caches.
-    assert_eq!(scorer.score_samples(&rows, 0).unwrap(), direct);
+    let fusions = |f: &FrozenDetector| -> Vec<usize> {
+        f.groups()
+            .iter()
+            .map(|g| g.noisy_superop_fusions())
+            .collect()
+    };
+    let before = fusions(&frozen);
+    fault::arm(SITE, FaultSpec::on_hits(FaultAction::PoisonCaches, &[1, 2]));
+    assert_eq!(frozen.score_samples(&rows, 0).unwrap(), direct);
+    // And again with the recovered caches.
+    assert_eq!(frozen.score_samples(&rows, 0).unwrap(), direct);
+    assert_eq!(fusions(&frozen), before, "poison must not cost a rebuild");
     fault::reset();
 }
 
-/// When every worker dies faster than the supervisor can bring one
-/// back, the request fails with a typed `Faulted` error — not a hang,
-/// not a panic, not a wrong partial sum.
+/// A group that panics on every attempt fails the panel with a typed
+/// `Faulted` error — not a hang, not a panic, not a wrong partial sum —
+/// and the detector scores normally once the fault clears.
 #[test]
 fn exhausted_retry_budget_is_a_typed_faulted_error() {
     let _serial = fault::tests_serialized();
     fault::reset();
-    let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
+    let frozen = FrozenDetector::freeze(base_config(), &reference()).unwrap();
     let rows = stream_rows(2);
-    let policy = SupervisorPolicy {
-        max_restarts: 50, // never retire: every round meets freshly doomed workers
-        backoff_base: Duration::from_micros(100),
-        backoff_cap: Duration::from_micros(200),
-        request_retries: 2,
-    };
-    let scorer =
-        SupervisedScorer::new(Arc::clone(&frozen), &ShardPolicy::Workers(2), policy).unwrap();
-    // Every job panics: each dispatch round kills whatever workers it
-    // reaches until the per-request retry budget runs out.
-    fault::arm(
-        "supervisor::worker",
-        FaultSpec::every(FaultAction::Panic, 1, 0),
-    );
-    let err = scorer.score_samples(&rows, 0).unwrap_err();
-    assert!(matches!(err, ServeError::Faulted(_)), "got {err:?}");
-    // Disarm, let a backoff lapse, and the fleet heals on its own.
-    fault::disarm("supervisor::worker");
-    std::thread::sleep(Duration::from_millis(2));
     let direct = frozen.score_samples(&rows, 0).unwrap();
-    assert_eq!(scorer.score_samples(&rows, 0).unwrap(), direct);
+    // Only the first group's attempts can be hits 1..=3 when the panel
+    // runs on one thread, so exactly that group exhausts its budget.
+    let one = FrozenDetector::freeze(base_config().with_threads(1), &reference()).unwrap();
+    fault::arm(SITE, FaultSpec::on_hits(FaultAction::Panic, &[1, 2, 3]));
+    let err = one.score_samples(&rows, 0).unwrap_err();
+    assert!(matches!(err, ServeError::Faulted(_)), "got {err:?}");
+    assert!(err.to_string().contains("group 0"), "{err}");
+    assert_eq!(fault::hits(SITE), GROUP_RETRIES as u64 + 1 + 4);
+    // Every attempt of every group panics on the parallel path too.
+    fault::arm(SITE, FaultSpec::every(FaultAction::Panic, 1, 0));
+    let err = frozen.score_samples(&rows, 0).unwrap_err();
+    assert!(matches!(err, ServeError::Faulted(_)), "got {err:?}");
+    fault::disarm(SITE);
+    assert_eq!(frozen.score_samples(&rows, 0).unwrap(), direct);
     fault::reset();
 }
 
-/// Load shedding under a wedged backend: shed requests get the typed
+/// The default `bind` path survives a panicking group: the affected
+/// request is retried in place and answered bit-identically; with the
+/// budget exhausted the client gets a typed error frame rather than a
+/// transport failure; and the next request on the same connection
+/// scores bit-identically. (A panic once unwound the batcher thread and
+/// every later request got "the batching worker has shut down".)
+#[test]
+fn default_server_survives_group_panics() {
+    let _serial = fault::tests_serialized();
+    fault::reset();
+    let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
+    let rows = stream_rows(3);
+    let direct = frozen.score_samples(&rows, 0).unwrap();
+    let mut server = QuorumServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&frozen),
+        CoalescePolicy::default(),
+    )
+    .unwrap();
+    let mut client = ScoreClient::connect_with_timeouts(
+        server.local_addr(),
+        Some(Duration::from_secs(30)),
+        Some(Duration::from_secs(30)),
+    )
+    .unwrap();
+    fault::arm(SITE, FaultSpec::on_hit(FaultAction::Panic, 1));
+    assert_eq!(client.score(&rows[0]).unwrap(), direct[0]);
+    assert!(fault::hits(SITE) > frozen.groups().len() as u64);
+
+    fault::arm(SITE, FaultSpec::every(FaultAction::Panic, 1, 0));
+    match client.score(&rows[1]) {
+        Err(ServeError::Request(msg)) => assert!(msg.contains("scoring faulted"), "{msg}"),
+        other => panic!("expected a typed error frame, got {other:?}"),
+    }
+
+    fault::disarm(SITE);
+    assert_eq!(client.score(&rows[2]).unwrap(), direct[2]);
+    assert_eq!(client.score(&rows[1]).unwrap(), direct[1]);
+    assert_eq!(client.health().unwrap().samples_scored, 4);
+    drop(client);
+    fault::reset();
+    server.shutdown();
+}
+
+/// Load shedding under a slow backend: shed requests get the typed
 /// status-2 frame while the requests that made it into the bounded
 /// queue still score correctly.
 #[test]
@@ -266,14 +220,14 @@ fn overloaded_server_sheds_typed_while_cobatched_requests_score() {
     let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
     let rows = stream_rows(3);
     let direct = frozen.score_samples(&rows, 0).unwrap();
-    // Every panel crawls (every worker job sleeps), the queue holds one
+    // Every panel crawls (every group job sleeps), the queue holds one
     // sample, and panels never coalesce — so three concurrent requests
     // must produce at least one typed shed.
     fault::arm(
-        "supervisor::worker",
+        SITE,
         FaultSpec::every(FaultAction::Delay(Duration::from_millis(150)), 1, 0),
     );
-    let mut server = QuorumServer::bind_supervised(
+    let mut server = QuorumServer::bind_with(
         "127.0.0.1:0",
         Arc::clone(&frozen),
         CoalescePolicy {
@@ -284,8 +238,6 @@ fn overloaded_server_sheds_typed_while_cobatched_requests_score() {
             queue_capacity: 1,
             request_deadline: None,
         },
-        &ShardPolicy::Workers(1),
-        fast_supervisor(),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -369,47 +321,40 @@ fn torn_response_frame_is_survived_by_client_retry() {
     server.shutdown();
 }
 
-/// The exhaustive kill-worker-mid-stream soak: a seeded pseudo-random
-/// quarter of all worker jobs panic across a 40-panel stream while the
-/// supervisor restarts and re-folds around them — every panel must stay
-/// bit-identical to the uninterrupted run. Run with `--ignored` (the
+/// The exhaustive panic soak: a seeded pseudo-random quarter of all
+/// group attempts panic across a 40-panel stream. Every panel either
+/// recovers bit-identically to the uninterrupted run or — when one
+/// group draws a panic on all of its attempts — fails typed with
+/// `Faulted`; the detector never wedges. Run with `--ignored` (the
 /// ignored-suite CI job does).
 #[test]
 #[ignore = "exhaustive chaos soak; run with --ignored"]
-fn kill_worker_soak_is_bit_identical_over_a_long_stream() {
+fn group_panic_soak_is_bit_identical_over_a_long_stream() {
     let _serial = fault::tests_serialized();
     fault::reset();
-    let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
+    let frozen = FrozenDetector::freeze(base_config(), &reference()).unwrap();
+    let groups = frozen.groups().len() as u64;
     let rows = stream_rows(6);
     let direct = frozen.score_samples(&rows, 0).unwrap();
-    let policy = SupervisorPolicy {
-        max_restarts: 10,
-        backoff_base: Duration::from_micros(200),
-        backoff_cap: Duration::from_millis(2),
-        request_retries: 8,
-    };
-    let scorer =
-        SupervisedScorer::new(Arc::clone(&frozen), &ShardPolicy::Workers(3), policy).unwrap();
-    // A quarter of all jobs die, chosen by a seeded hash — a different
-    // crash pattern than any fixed schedule, replayed exactly on every
-    // run of this test.
-    fault::arm(
-        "supervisor::worker",
-        FaultSpec::seeded(FaultAction::Panic, 0xC4A05, 1, 4),
-    );
+    // A quarter of all attempts die, chosen by a seeded hash — a crash
+    // pattern no fixed schedule gives, replayed exactly on every run.
+    fault::arm(SITE, FaultSpec::seeded(FaultAction::Panic, 0xC4A05, 1, 4));
+    let mut recovered = 0usize;
     for panel in 0..40 {
-        let scores = scorer.score_samples(&rows, 0).unwrap();
-        assert_eq!(scores, direct, "panel {panel} diverged under chaos");
+        let before = fault::hits(SITE);
+        match frozen.score_samples(&rows, 0) {
+            Ok(scores) => {
+                assert_eq!(scores, direct, "panel {panel} diverged under chaos");
+                if fault::hits(SITE) - before > groups {
+                    recovered += 1;
+                }
+            }
+            Err(ServeError::Faulted(_)) => {}
+            Err(other) => panic!("panel {panel}: unexpected error {other:?}"),
+        }
     }
-    assert!(
-        scorer.restarts_total() > 0,
-        "a quarter of jobs panicking must have killed at least one worker"
-    );
-    let health = scorer.shard_health();
-    assert_eq!(
-        health.iter().map(|s| s.groups).sum::<usize>(),
-        frozen.groups().len(),
-        "group ownership must stay a partition under churn"
-    );
+    assert!(recovered >= 10, "only {recovered} panels retried a group");
+    fault::disarm(SITE);
+    assert_eq!(frozen.score_samples(&rows, 0).unwrap(), direct);
     fault::reset();
 }

@@ -1,18 +1,15 @@
-//! Shard-plan invariance suite: a sharded detector must be
-//! bit-identical to the single-process one for every shard count,
-//! execution mode and per-shard engine assignment — scores are invariant
-//! to the shard plan the same way they are invariant to coalescing.
+//! Group-parallel identity suite: scoring a panel with any number of
+//! pool participants must be bit-identical to the default path, for
+//! every execution mode and engine — the ascending-group merge makes
+//! scores invariant to who scores each group, the same way they are
+//! invariant to coalescing.
 
 use qdata::Dataset;
 use qsim::NoiseModel;
 use quorum_core::config::{EngineKind, ExecutionMode};
 use quorum_core::QuorumConfig;
-use quorum_serve::{
-    CoalescePolicy, FrozenDetector, QuorumServer, ScoreClient, ServeError, ShardPlan, ShardPolicy,
-    ShardedScorer,
-};
+use quorum_serve::{FrozenDetector, ServeError, ShardPolicy, ShardedScorer};
 use std::sync::Arc;
-use std::time::Duration;
 
 const GROUPS: usize = 5;
 
@@ -60,21 +57,30 @@ fn noisy_config(engine: EngineKind) -> QuorumConfig {
         })
 }
 
-/// Pins the core invariance: for every worker count, the sharded scores
-/// equal the single-process streamed scores bit for bit.
+/// Pins the core invariance: for every worker count, the scores equal
+/// both the default path and the per-group partials summed one group at
+/// a time in ascending order, bit for bit.
 fn assert_shard_invariant(config: QuorumConfig, shard_counts: &[usize]) {
     let frozen = Arc::new(FrozenDetector::freeze(config, &reference()).unwrap());
     let rows = stream_rows(9);
     let single = frozen.score_samples(&rows, 7).unwrap();
+    let mut sequential = vec![0.0; rows.len()];
+    for g in 0..frozen.groups().len() {
+        let partial = frozen.stream_group_scores(g, &rows, 7, None).unwrap();
+        for (t, p) in sequential.iter_mut().zip(partial) {
+            *t += p;
+        }
+    }
+    assert_eq!(single, sequential, "the merge must be the ascending sum");
     for &k in shard_counts {
         let sharded = ShardedScorer::new(Arc::clone(&frozen), &ShardPolicy::Workers(k)).unwrap();
         let scores = sharded.score_samples(&rows, 7).unwrap();
         assert_eq!(
             scores, single,
-            "K={k} sharded scores must be bit-identical to the single process"
+            "K={k} scores must be bit-identical to the default path"
         );
-        // Still identical on a second panel (workers are resident, ids
-        // advance) and for the empty panel.
+        // Still identical on a second panel (ids advance) and for the
+        // empty panel.
         let single_next = frozen.score_samples(&rows[..3], 16).unwrap();
         assert_eq!(sharded.score_samples(&rows[..3], 16).unwrap(), single_next);
         assert!(sharded.score_samples(&[], 0).unwrap().is_empty());
@@ -82,29 +88,40 @@ fn assert_shard_invariant(config: QuorumConfig, shard_counts: &[usize]) {
 }
 
 #[test]
-fn sharded_is_bit_identical_exact() {
-    assert_shard_invariant(base_config(), &[1, 2, 3, GROUPS]);
+fn group_parallel_is_bit_identical_exact() {
+    assert_shard_invariant(base_config(), &[1, 2, 3, GROUPS, GROUPS + 3]);
 }
 
 #[test]
-fn sharded_is_bit_identical_sampled() {
+fn group_parallel_is_bit_identical_sampled() {
     assert_shard_invariant(
         base_config().with_execution(ExecutionMode::Sampled { shots: 256 }),
-        &[1, 2, 3, GROUPS],
+        &[1, 2, 3, GROUPS, GROUPS + 3],
     );
 }
 
 #[test]
-fn sharded_is_bit_identical_noisy() {
-    assert_shard_invariant(noisy_config(EngineKind::Density), &[1, 2, GROUPS]);
+fn group_parallel_is_bit_identical_noisy() {
+    assert_shard_invariant(
+        noisy_config(EngineKind::Density),
+        &[1, 2, 3, GROUPS, GROUPS + 3],
+    );
+}
+
+#[test]
+fn group_parallel_is_bit_identical_structured() {
+    assert_shard_invariant(
+        noisy_config(EngineKind::DensityStructured),
+        &[1, 2, 3, GROUPS, GROUPS + 3],
+    );
 }
 
 /// Exhaustive variant for CI's `--ignored` pass: every worker count from
-/// 1 to the group count, across execution modes, plus more shards than
-/// groups (some shards idle, scores unchanged).
+/// 1 to the group count, across execution modes and engines, plus more
+/// workers than groups (some idle, scores unchanged).
 #[test]
 #[ignore = "exhaustive; run explicitly or in CI's --ignored pass"]
-fn sharded_is_bit_identical_exhaustive() {
+fn group_parallel_is_bit_identical_exhaustive() {
     let all: Vec<usize> = (1..=GROUPS).chain([GROUPS + 3]).collect();
     assert_shard_invariant(base_config(), &all);
     assert_shard_invariant(base_config().with_engine(EngineKind::Analytic), &all);
@@ -116,179 +133,45 @@ fn sharded_is_bit_identical_exhaustive() {
     assert_shard_invariant(noisy_config(EngineKind::DensityStructured), &all);
 }
 
-/// Mixed per-shard engines: a noisy detector splitting its groups
-/// between a dense-density shard and a structured-channel shard must be
-/// bit-identical to a single process that evaluates each group with the
-/// same assigned engine — and must agree with the plain single-engine
-/// run to numerical tolerance (the two density representations agree to
-/// ~1e-12 relative, not bit-exactly).
+/// A zero worker count is a typed request error, not a panic.
 #[test]
-fn mixed_engine_shards_match_the_same_assignment_reference() {
-    let frozen =
-        Arc::new(FrozenDetector::freeze(noisy_config(EngineKind::Density), &reference()).unwrap());
-    let rows = stream_rows(6);
-    let policy = ShardPolicy::Mixed(vec![
-        Some(EngineKind::Density),
-        Some(EngineKind::DensityStructured),
-    ]);
-    let sharded = ShardedScorer::new(Arc::clone(&frozen), &policy).unwrap();
-    let scores = sharded.score_samples(&rows, 0).unwrap();
-
-    // Single-process reference with the identical group→engine map,
-    // summed in ascending group order exactly like the scorer.
-    let mut engine_for_group = [None; GROUPS];
-    for shard in sharded.plan().shards() {
-        for &g in shard.groups() {
-            engine_for_group[g] = shard.engine();
-        }
-    }
-    let mut reference_scores = vec![0.0; rows.len()];
-    for (g, &engine) in engine_for_group.iter().enumerate() {
-        let partial = frozen.stream_group_scores(g, &rows, 0, engine).unwrap();
-        for (t, p) in reference_scores.iter_mut().zip(partial) {
-            *t += p;
-        }
-    }
-    assert_eq!(
-        scores, reference_scores,
-        "mixed-engine sharding must match the same-assignment single process bit for bit"
-    );
-
-    let plain = frozen.score_samples(&rows, 0).unwrap();
-    for (s, p) in scores.iter().zip(&plain) {
-        assert!(
-            (s - p).abs() <= 1e-9 * p.abs().max(1.0),
-            "mixed-engine scores must agree with the uniform run numerically ({s} vs {p})"
-        );
-    }
-}
-
-/// The TCP protocol is unchanged under sharding: a `bind_sharded` server
-/// answers with scores bit-identical to the in-process single-worker
-/// path (exact mode, so arrival-order id assignment is immaterial).
-#[test]
-fn sharded_tcp_server_matches_the_single_process() {
+fn zero_workers_are_rejected() {
     let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
-    let rows = stream_rows(5);
-    let direct = frozen.score_samples(&rows, 0).unwrap();
-    let mut server = QuorumServer::bind_sharded(
-        "127.0.0.1:0",
-        Arc::clone(&frozen),
-        CoalescePolicy {
-            max_batch: 4,
-            max_wait: Duration::from_millis(2),
-        },
-        &ShardPolicy::Workers(2),
-    )
-    .unwrap();
-    let mut client = ScoreClient::connect_with_timeouts(
-        server.local_addr(),
-        Some(Duration::from_secs(30)),
-        Some(Duration::from_secs(30)),
-    )
-    .unwrap();
-    for (row, want) in rows.iter().zip(&direct) {
-        let got = client.score(row).unwrap();
-        assert_eq!(got, *want);
+    assert!(matches!(
+        ShardedScorer::new(frozen, &ShardPolicy::Workers(0)),
+        Err(ServeError::Request(_))
+    ));
+}
+
+/// Per-group probing still honours engine overrides: a structured
+/// override on a dense-configured noisy detector agrees with the dense
+/// partial numerically (the two density representations agree to
+/// ~1e-12 relative, not bit-exactly), and a pure-state override on a
+/// noisy detector or a group out of range is a typed error.
+#[test]
+fn group_probe_engine_overrides_are_validated() {
+    let frozen = FrozenDetector::freeze(noisy_config(EngineKind::Density), &reference()).unwrap();
+    let rows = stream_rows(4);
+    let dense = frozen.stream_group_scores(1, &rows, 0, None).unwrap();
+    let structured = frozen
+        .stream_group_scores(1, &rows, 0, Some(EngineKind::DensityStructured))
+        .unwrap();
+    for (s, d) in structured.iter().zip(&dense) {
+        assert!((s - d).abs() <= 1e-9 * d.abs().max(1.0), "{s} vs {d}");
     }
-    drop(client);
-    server.shutdown();
-}
-
-/// `ShardPolicy::Single` through `bind_sharded` serves the plain frozen
-/// detector — same answers, no worker fleet.
-#[test]
-fn bind_sharded_single_policy_degrades_to_plain_serving() {
-    let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
-    let rows = stream_rows(3);
-    let direct = frozen.score_samples(&rows, 0).unwrap();
-    let mut server = QuorumServer::bind_sharded(
-        "127.0.0.1:0",
-        Arc::clone(&frozen),
-        CoalescePolicy::default(),
-        &ShardPolicy::Single,
-    )
-    .unwrap();
-    let mut client = ScoreClient::connect(server.local_addr()).unwrap();
-    for (row, want) in rows.iter().zip(&direct) {
-        assert_eq!(client.score(row).unwrap(), *want);
-    }
-    drop(client);
-    server.shutdown();
-}
-
-/// Plans derived from a detector cover every group exactly once and
-/// spread them across the requested workers.
-#[test]
-fn detector_plans_cover_every_group() {
-    let frozen = FrozenDetector::freeze(base_config(), &reference()).unwrap();
-    for k in [1, 2, 3, GROUPS, GROUPS + 2] {
-        let plan = ShardPlan::for_detector(&frozen, &ShardPolicy::Workers(k)).unwrap();
-        assert_eq!(plan.num_shards(), k);
-        let mut seen = [0usize; GROUPS];
-        for shard in plan.shards() {
-            for &g in shard.groups() {
-                seen[g] += 1;
-            }
-        }
-        assert!(
-            seen.iter().all(|&c| c == 1),
-            "K={k} plan must cover every group once"
-        );
-        // Near-uniform group costs: no shard hoards more than its share.
-        let max = plan
-            .shards()
-            .iter()
-            .map(|s| s.groups().len())
-            .max()
-            .unwrap();
-        assert!(
-            max <= GROUPS.div_ceil(k),
-            "K={k} plan must balance ({max} groups on one shard)"
-        );
-    }
-}
-
-/// Hand-built plans that miss or duplicate groups are rejected, as are
-/// engine overrides the frozen execution mode cannot run.
-#[test]
-fn invalid_plans_and_overrides_are_rejected() {
-    let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
-    // Zero workers / empty mixed policies.
+    assert!(frozen
+        .stream_group_scores(1, &rows, 0, Some(EngineKind::Batched))
+        .is_err());
     assert!(matches!(
-        ShardedScorer::new(Arc::clone(&frozen), &ShardPolicy::Workers(0)),
+        frozen.stream_group_scores(GROUPS, &rows, 0, None),
         Err(ServeError::Request(_))
     ));
-    assert!(matches!(
-        ShardedScorer::new(Arc::clone(&frozen), &ShardPolicy::Mixed(Vec::new())),
-        Err(ServeError::Request(_))
-    ));
-    // Degenerate plans are typed errors, not panics.
-    assert!(matches!(
-        ShardPlan::balanced(&[1.0; GROUPS], &[], &[]),
-        Err(ServeError::Request(_))
-    ));
-    // A plan that drops group 4 (costs only cover 4 groups).
-    let partial = ShardPlan::balanced(&[1.0; GROUPS - 1], &[1.0, 1.0], &[None, None]).unwrap();
-    assert!(matches!(
-        ShardedScorer::with_plan(Arc::clone(&frozen), partial),
-        Err(ServeError::Request(_))
-    ));
-    // A density engine override on an exact-mode detector.
-    let bad = ShardPolicy::Mixed(vec![None, Some(EngineKind::Density)]);
-    assert!(ShardedScorer::new(Arc::clone(&frozen), &bad).is_err());
-    // And a pure-state override on a noisy detector.
-    let noisy =
-        Arc::new(FrozenDetector::freeze(noisy_config(EngineKind::Density), &reference()).unwrap());
-    let bad = ShardPolicy::Mixed(vec![Some(EngineKind::Batched), None]);
-    assert!(ShardedScorer::new(noisy, &bad).is_err());
 }
 
-/// Request validation still happens once, up front: a wrong-width panel
-/// errors identically to the single-process path and empty panels are
-/// free.
+/// Request validation happens once, up front: a wrong-width panel errors
+/// identically for every worker count.
 #[test]
-fn sharded_request_validation_matches_single_process() {
+fn request_validation_is_independent_of_worker_count() {
     let frozen = Arc::new(FrozenDetector::freeze(base_config(), &reference()).unwrap());
     let sharded = ShardedScorer::new(Arc::clone(&frozen), &ShardPolicy::Workers(2)).unwrap();
     let bad = vec![vec![0.5; 3]];
