@@ -327,8 +327,9 @@ fn report_density_batch_speedup(_c: &mut Criterion) {
 /// dense fused-superoperator path.
 const WIDE_DENSE_QUBITS: usize = 5;
 /// Data qubits for the structured-only column — past the dense engine's
-/// width cap on practicality (its n = 6 superoperator is ~268 MiB per
-/// level and the 13-qubit observable walk takes minutes), so the
+/// width cap on practicality (its n = 6 superoperators and readout
+/// functional are ~268 MiB each and take seconds apiece to multiply
+/// out), so the
 /// structured engine runs alone and its absolute time is the tracked
 /// metric.
 const WIDE_STRUCTURED_QUBITS: usize = 6;

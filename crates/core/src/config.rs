@@ -30,13 +30,14 @@ pub enum ExecutionMode {
 /// dense [`EngineKind::Density`] engine; at or above it, the structured
 /// [`EngineKind::DensityStructured`] engine.
 ///
-/// The crossover follows the cost model: the dense path spends
-/// `O(16^n)` per (group, level) building and applying one fused
-/// superoperator, while the structured path walks ~hundreds of local
-/// channel ops at `O(4^n)` each — the structured constant is paid off
-/// once `4^n` outgrows the program length, which happens at `n = 5`
-/// (measured ≈3× there, growing ~4× per extra qubit; see
-/// `benches/engine_comparison.rs`).
+/// The crossover follows the cost model. Both paths run the same
+/// per-(group, level) channel program. The dense path multiplies it out
+/// once over the `4^n`-column identity panel (`O(ops · 16^n)`, cached)
+/// and then pays `O(16^n)` per sample in one GEMM; the structured path
+/// walks ~hundreds of local channel ops at `O(4^n)` per sample and
+/// builds nothing dense. The structured constant is paid off once `4^n`
+/// outgrows the program length, which happens at `n = 5` (see the
+/// `structured_noisy_n5` column of `benches/engine_comparison.rs`).
 pub const STRUCTURED_AUTO_MIN_QUBITS: usize = 5;
 
 /// Which scoring engine evaluates the per-sample deviations.
@@ -70,9 +71,11 @@ pub enum EngineKind {
     /// ([`crate::engine::DensityEngine`]): whole-group `vec(ρ)` scoring —
     /// all samples packed into one `4^n × S` matrix and pushed through the
     /// per-group fused noisy superoperators and the cached SWAP-test
-    /// readout functional as blocked GEMMs. Requires Noisy execution.
-    /// Rejects registers wider than 6 data qubits — the fused `16^n`
-    /// objects hit the mixed-state simulator's memory budget there.
+    /// readout functional as blocked GEMMs, both multiplied out from the
+    /// structured engine's channel program and readout MPO. Requires
+    /// Noisy execution. Rejects registers wider than 6 data qubits —
+    /// each `16^n`-entry dense object is 256 MiB at n = 6 and would be
+    /// 4 GiB at n = 7.
     Density,
     /// Force the structured density engine
     /// ([`crate::engine::StructuredDensityEngine`]): the same lockstep

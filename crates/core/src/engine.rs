@@ -60,16 +60,19 @@
 //!    matrix `P` (`ρ_B` doubles as register A's input, since Fig. 2 preps
 //!    both registers identically) and pushes the whole batch through each
 //!    level's **fused noisy superoperator** — encoder gates with their
-//!    per-gate channels, the reset Kraus channels, and the decoder —
-//!    built once per (group, compression level) by evolving the
-//!    matrix-unit basis through the lowered gate list and cached on
-//!    [`crate::ensemble::EnsembleGroup::fused_noisy_superop`] — as one
-//!    blocked GEMM `R = S_level·P` through the SIMD kernel seam
-//!    ([`qsim::matrix::CMatrix::matmul_threaded`]);
+//!    per-gate channels, the reset Kraus channels, and the decoder — as
+//!    one blocked GEMM `R = S_level·P` through the SIMD kernel seam
+//!    ([`qsim::matrix::CMatrix::matmul_threaded`]). `S_level` is the
+//!    segment's [`ChannelProgram`] — the same lowering the structured
+//!    engine walks op by op — multiplied out over the identity panel
+//!    ([`ChannelProgram::to_superop`]), built once per (group, compression
+//!    level) and cached on
+//!    [`crate::ensemble::EnsembleGroup::fused_noisy_superop`];
 //! 3. contracts the batch against a **SWAP-test readout functional**
-//!    `W` — the POVM element `|1⟩⟨1|_anc` pulled backwards (Heisenberg
-//!    picture, adjoint channels) through the *noisy lowered* CSWAP
-//!    network, then restricted to `ancilla = |0⟩`; `W` depends only on
+//!    `W` — the noisy lowered CSWAP network's `P(ancilla = 1)` as a
+//!    bilinear form over `(vec(ρ_A), vec(ρ_B))`, multiplied out from the
+//!    structured engine's bond-4 [`SwapTestMpo`]
+//!    ([`SwapTestMpo::to_functional`]); `W` depends only on
 //!    `(n, noise model)` and is cached globally — as a second GEMM
 //!    `W·P` shared by every level, leaving one column dot product
 //!    `raw_j = Σ_i R[i,j]·(WP)[i,j]` per sample;
@@ -86,6 +89,15 @@
 //! ([`qsim::simulator::GateNoise`]), so the engine tracks the
 //! paper-literal noisy [`CircuitEngine`] to ≲1e-12 — with no
 //! `2n+1`-qubit density simulation per sample.
+//!
+//! The noisy segment and the readout have one derivation, in
+//! [`qsim::channel`]; the dense and structured engines differ only in
+//! whether they multiply it out. The oracle chain that pins it: the
+//! program against the per-gate density-matrix walk and the MPO against
+//! a forward simulation of the SWAP-test network (`qsim::channel`'s
+//! tests), [`SampleDensityEngine`] (per-sample gate-walk preparation)
+//! against [`DensityEngine`] to ≤ 1e-9, and the dense engine against the
+//! paper-literal [`CircuitEngine`] to ≤ 1e-9.
 //!
 //! Exact mode reproduces the branching backend's semantics to ≲1e-12;
 //! Sampled mode draws the same binomial statistics from the exact
@@ -250,9 +262,10 @@ fn ensure_pure_state(config: &QuorumConfig) -> Result<(), QuorumError> {
     Ok(())
 }
 
-/// The widest data register the density engine supports: the SWAP-test
-/// functional is derived on the full `2n + 1`-qubit observable, which must
-/// stay within the mixed-state simulator's 13-qubit limit.
+/// The widest data register the dense density engines support: they
+/// materialise `16^n`-entry objects (each level's superoperator and the
+/// readout functional, 256 MiB apiece at n = 6), and one more qubit
+/// would make each 4 GiB. Wider registers run on the structured engine.
 const MAX_DENSITY_DATA_QUBITS: usize = 6;
 
 /// The mode half of the density engines' guard: without a noise model
@@ -270,18 +283,18 @@ fn ensure_noisy_mode(config: &QuorumConfig) -> Result<(), QuorumError> {
 
 /// The full guard for the **dense** density engines: Noisy mode plus the
 /// register-width limit — the dense path materialises `16^n` fused
-/// objects (the superoperators and the `2n + 1`-qubit SWAP-test
-/// observable), so oversized registers are rejected up front rather than
-/// on a huge allocation. The structured engine has no such objects and
-/// checks only the mode ([`ensure_noisy_mode`]).
+/// objects (the superoperators and the readout functional), so oversized
+/// registers are rejected up front rather than on a huge allocation. The
+/// structured engine has no such objects and checks only the mode
+/// ([`ensure_noisy_mode`]).
 fn ensure_noisy(config: &QuorumConfig) -> Result<(), QuorumError> {
     ensure_noisy_mode(config)?;
     if config.data_qubits > MAX_DENSITY_DATA_QUBITS {
         return Err(QuorumError::InvalidConfig(format!(
-            "dense noisy scoring supports at most {MAX_DENSITY_DATA_QUBITS} data qubits (the \
-             {}-qubit SWAP-test observable would exceed the mixed-state simulator's memory \
-             budget); wider registers run on the structured density engine",
-            2 * config.data_qubits + 1
+            "dense noisy scoring supports at most {MAX_DENSITY_DATA_QUBITS} data qubits, got {} \
+             (each dense superoperator and readout functional holds 16^n complex entries, \
+             4 GiB apiece past the cap); wider registers run on the structured density engine",
+            config.data_qubits
         )));
     }
     Ok(())
@@ -721,60 +734,38 @@ impl BatchedAnalyticEngine {
     }
 }
 
-/// Builds the fused noisy superoperator of one group's bottlenecked
-/// autoencoder segment — encoder gates with their per-gate noise channels,
-/// the `reset_count` reset Kraus channels, and the decoder — as a
-/// `4^n × 4^n` matrix over row-major `vec(ρ)`.
-///
-/// Columns are extracted by evolving the matrix-unit basis `E_ij` through
-/// the *lowered* gate list with exactly the kernels the density-matrix
-/// backend uses ([`GateNoise::apply_after_gate`]), so applying the result
-/// to `vec(ρ)` reproduces the backend's per-gate evolution to machine
-/// precision. Called through the per-group cache
-/// ([`EnsembleGroup::fused_noisy_superop`]); one build covers every sample.
+/// The fused noisy superoperator of one group's bottlenecked autoencoder
+/// segment — encoder gates with their per-gate noise channels, the
+/// `reset_count` reset Kraus channels, and the decoder — as a
+/// `4^n × 4^n` matrix over row-major `vec(ρ)`: the segment's
+/// [`ChannelProgram`] ([`build_channel_program`]) multiplied out over the
+/// identity panel ([`ChannelProgram::to_superop`]). The dense engines thus
+/// apply exactly what the structured engine walks op by op. Lowered here
+/// rather than through the group's program cache, so the superoperator
+/// and program fusion counters stay independent. Called through the
+/// per-group cache ([`EnsembleGroup::fused_noisy_superop`]); one build
+/// covers every sample.
 ///
 /// # Errors
 ///
-/// Propagates simulation failures (the segment is reset-plus-unitary, so
-/// this is effectively infallible for valid ansätze).
+/// Propagates lowering failures (effectively infallible for valid
+/// ansätze).
 pub(crate) fn build_noisy_superop(
     ansatz: &AnsatzParams,
     noise: &NoiseModel,
     reset_count: usize,
 ) -> Result<CMatrix, QuorumError> {
-    let n = ansatz.num_qubits();
-    let mut circ = Circuit::new(n);
-    circ.compose(&ansatz.encoder(), 0)
-        .map_err(QuorumError::Simulation)?;
-    for q in (n - reset_count)..n {
-        circ.reset(q);
-    }
-    circ.compose(&ansatz.decoder(), 0)
-        .map_err(QuorumError::Simulation)?;
-    let lowered = transpile::decompose_multiqubit(&circ);
-    let gate_noise = GateNoise::from_model(noise);
-
-    let dim = 1usize << n;
-    let mut superop = CMatrix::zeros(dim * dim, dim * dim);
-    for col in 0..dim * dim {
-        let mut unit = CMatrix::zeros(dim, dim);
-        unit[(col / dim, col % dim)] = C64::ONE;
-        let mut rho = DensityMatrix::from_cmatrix(&unit).map_err(QuorumError::Simulation)?;
-        evolve_noisy(&mut rho, &lowered, &gate_noise)?;
-        for (row, &value) in rho.as_slice().iter().enumerate() {
-            superop[(row, col)] = value;
-        }
-    }
-    Ok(superop)
+    Ok(build_channel_program(ansatz, noise, reset_count)?.to_superop())
 }
 
-/// Lowers the same bottlenecked autoencoder segment as
-/// [`build_noisy_superop`] — encoder, `reset_count` resets, decoder —
-/// into a structured per-gate [`ChannelProgram`]
-/// ([`EnsembleGroup::channel_program`]), instead of fusing it dense: the
-/// program is `O(gates)` to build and `O(ops · 4^n)` per sample to
-/// apply, never materialising the `16^n` superoperator, which is what
-/// unlocks registers past the dense engine's width cap.
+/// Lowers one group's bottlenecked autoencoder segment — encoder,
+/// `reset_count` resets, decoder — into a structured per-gate
+/// [`ChannelProgram`]: the only place the segment is composed. The
+/// structured engine applies the program op by op
+/// ([`EnsembleGroup::channel_program`]), `O(gates)` to build and
+/// `O(ops · 4^n)` per sample, never materialising a `16^n` object, which
+/// is what unlocks registers past the dense engine's width cap; the dense
+/// engines multiply it out once ([`build_noisy_superop`]).
 ///
 /// # Errors
 ///
@@ -800,9 +791,9 @@ pub(crate) fn build_channel_program(
 }
 
 /// Evolves a density operator forward through a lowered instruction list,
-/// charging the fused per-gate noise after every gate — the shared
-/// Schrödinger-picture walk behind the superoperator builder and the
-/// per-sample noisy state preparation.
+/// charging the fused per-gate noise after every gate — the per-sample
+/// gate walk behind [`noisy_prepared_state`], kept independent of the
+/// lockstep preparation it is the reference for.
 fn evolve_noisy(
     rho: &mut DensityMatrix,
     lowered: &Circuit,
@@ -848,71 +839,6 @@ fn noisy_prepared_state(
     Ok(rho)
 }
 
-/// Builds the SWAP-test readout functional `W` for `n`-qubit registers
-/// under `noise`: `P(ancilla = 1) = vec(ρ_A)ᵀ · W · vec(ρ_B)` (before
-/// readout confusion), where the probability includes every noisy lowered
-/// gate of the CSWAP network.
-///
-/// Derivation: the POVM element `Π₁ = |1⟩⟨1|_anc ⊗ I` is pulled backwards
-/// through the lowered SWAP-test gates in the Heisenberg picture — gate
-/// adjoints via inverse gates, channel adjoints via
-/// [`GateNoise::apply_adjoint_after_gate`] — and the resulting observable
-/// is restricted to the ancilla's initial `|0⟩` block and reindexed into
-/// the bilinear form over `(vec(ρ_A), vec(ρ_B))`. The ancilla's terminal
-/// dephasing is a no-op on the diagonal `Π₁` and drops out.
-fn build_swap_test_functional(n: usize, noise: &NoiseModel) -> Result<CMatrix, QuorumError> {
-    let gate_noise = GateNoise::from_model(noise);
-    let ancilla = 2 * n;
-    let mut circ = Circuit::new(2 * n + 1);
-    circ.h(ancilla);
-    for q in 0..n {
-        circ.cswap(ancilla, q, n + q);
-    }
-    circ.h(ancilla);
-    let lowered = transpile::decompose_multiqubit(&circ);
-
-    let dim = 1usize << (2 * n + 1);
-    let mut pi1 = CMatrix::zeros(dim, dim);
-    for i in (0..dim).filter(|i| i >> ancilla & 1 == 1) {
-        pi1[(i, i)] = C64::ONE;
-    }
-    let mut obs = DensityMatrix::from_cmatrix(&pi1).map_err(QuorumError::Simulation)?;
-    for instr in lowered.instructions().iter().rev() {
-        match &instr.op {
-            Operation::Gate(g) => {
-                gate_noise
-                    .apply_adjoint_after_gate(&mut obs, g.num_qubits(), &instr.qubits)
-                    .map_err(QuorumError::Simulation)?;
-                obs.apply_gate(g.inverse(), &instr.qubits)
-                    .map_err(QuorumError::Simulation)?;
-            }
-            Operation::Barrier => {}
-            _ => {
-                return Err(QuorumError::InvalidConfig(
-                    "the SWAP-test network must be unitary".into(),
-                ));
-            }
-        }
-    }
-
-    // Restrict to ancilla |0⟩ (joint index u = b·2ⁿ + a, ancilla bit 0 for
-    // u < 4ⁿ) and reshuffle Tr[obs · (ρ_A ⊗ ρ_B)] = Σ obs[u,v]·ρ_A[vₐ,uₐ]·
-    // ρ_B[v_b,u_b] into W over row-major vec indices.
-    let sub = 1usize << n;
-    let obs_mat = obs.to_cmatrix();
-    let mut w = CMatrix::zeros(sub * sub, sub * sub);
-    for va in 0..sub {
-        for ua in 0..sub {
-            for vb in 0..sub {
-                for ub in 0..sub {
-                    w[(va * sub + ua, vb * sub + ub)] = obs_mat[(ub * sub + ua, vb * sub + va)];
-                }
-            }
-        }
-    }
-    Ok(w)
-}
-
 /// Bytes the global SWAP-test functional cache may retain — a backstop
 /// for pathological many-model or wide-register workloads, far above
 /// anything the pipeline or test suites create (a flagship n = 3
@@ -928,7 +854,11 @@ const SWAP_FUNCTIONAL_CACHE_BYTES: usize = 64 << 20;
 static SWAP_FUNCTIONAL_CACHE: ByteBounded<(usize, NoiseModel), CMatrix> = ByteBounded::new();
 
 /// The globally cached SWAP-test readout functional (see
-/// [`SWAP_FUNCTIONAL_CACHE`]). Retention is bounded by
+/// [`SWAP_FUNCTIONAL_CACHE`]): the SWAP-test readout `W` with
+/// `P(ancilla = 1) = vec(ρ_A)ᵀ · W · vec(ρ_B)` before readout confusion,
+/// counting every noisy lowered gate of the CSWAP network — the
+/// structured engine's [`SwapTestMpo`] multiplied out over the identity
+/// panel ([`SwapTestMpo::to_functional`]). Retention is bounded by
 /// [`SWAP_FUNCTIONAL_CACHE_BYTES`]; oversized functionals are returned
 /// uncached. The build runs outside the cache lock.
 fn swap_test_functional(n: usize, noise: &NoiseModel) -> Result<Arc<CMatrix>, QuorumError> {
@@ -937,7 +867,11 @@ fn swap_test_functional(n: usize, noise: &NoiseModel) -> Result<Arc<CMatrix>, Qu
         &(n, noise.clone()),
         SWAP_FUNCTIONAL_CACHE_BYTES,
         functional_bytes,
-        || build_swap_test_functional(n, noise),
+        || {
+            SwapTestMpo::build(n, &GateNoise::from_model(noise))
+                .map(|mpo| mpo.to_functional())
+                .map_err(QuorumError::Simulation)
+        },
     )
 }
 
@@ -995,11 +929,15 @@ fn cached_prep_skeleton(num_qubits: usize) -> Arc<PrepSkeleton> {
 /// seam. State preparation itself runs in **lockstep** — all samples
 /// evolve through the shared Möttönen skeleton together, the shared
 /// gates and channels hitting the whole panel per step (see
-/// [`DensityEngine::prepare_batch`]). The default
-/// for Noisy execution (see the module docs for the math);
+/// [`DensityEngine::prepare_batch`]). The superoperators and the
+/// functional are not derived here: they are the structured engine's
+/// [`ChannelProgram`]s and [`SwapTestMpo`] multiplied out over the
+/// identity panel, so the two engines apply one lowering. The default
+/// for Noisy execution below [`crate::config::STRUCTURED_AUTO_MIN_QUBITS`]
+/// (see the module docs for the math and the oracle chain);
 /// [`SampleDensityEngine`] keeps the one-matvec-per-sample ordering (and
 /// the per-sample gate-walk preparation) as the in-family oracle and the
-/// paper-literal [`CircuitEngine`] remains the gate-level one.
+/// paper-literal [`CircuitEngine`] remains the gate-level one (≤ 1e-9).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DensityEngine;
 
@@ -1558,12 +1496,13 @@ struct StructuredScratch {
 /// ([`EnsembleGroup::channel_program`]), and the SWAP-test readout is
 /// folded into a bond-4 matrix-product sweep ([`SwapTestMpo`]). No
 /// `16^n` object is ever built or applied, so the per-(group, level)
-/// cost drops from `O(16^n) + O(16^n · S)` to `O(ops · 4^n · S)` —
+/// cost drops from `O(ops · 16^n) + O(16^n · S)` to `O(ops · 4^n · S)` —
 /// dense wins below ~5 data qubits (tiny `4^n`, one GEMM), structured
 /// wins at and above it and is the only density path past the dense
-/// width cap. The dense engine stays the bit-exact small-n oracle the
-/// structured path is pinned against (≤ 1e-9, `tests/`
-/// `engine_structured_properties`).
+/// width cap. The dense engine multiplies out these same objects, so the
+/// two agree to rounding (≤ 1e-9, `tests/engine_structured_properties`);
+/// what pins the lowering itself is `qsim::channel`'s gate-walk and
+/// forward-simulation tests and the circuit oracle.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StructuredDensityEngine;
 

@@ -187,6 +187,13 @@ impl EnsembleGroup {
     /// the same matrix to the whole packed sample batch in one GEMM (or
     /// per sample, through the per-sample oracle engine).
     ///
+    /// The matrix is the segment's channel program (the object
+    /// [`EnsembleGroup::channel_program`] caches) multiplied out over the
+    /// identity panel ([`ChannelProgram::to_superop`]). The build lowers
+    /// the segment itself rather than reading the program cache, so
+    /// [`EnsembleGroup::noisy_superop_fusions`] and
+    /// [`EnsembleGroup::channel_program_fusions`] count independently.
+    ///
     /// # Errors
     ///
     /// Propagates [`crate::engine`] superoperator-construction failures

@@ -64,20 +64,13 @@ impl RangeNormalizer {
     pub fn transform(&self, ds: &Dataset) -> Dataset {
         let m = self.maxima.len();
         assert_eq!(ds.num_features(), m, "feature count mismatch");
-        let bound = 1.0 / m as f64;
         let rows = ds
             .rows()
             .iter()
             .map(|row| {
                 row.iter()
                     .zip(&self.maxima)
-                    .map(|(&v, &mx)| {
-                        if mx == 0.0 {
-                            0.0
-                        } else {
-                            (v / (mx * m as f64)).clamp(-bound, bound)
-                        }
-                    })
+                    .map(|(&v, &mx)| Self::scale(v, mx, m as f64))
                     .collect()
             })
             .collect();
@@ -93,6 +86,26 @@ impl RangeNormalizer {
     /// Convenience: fit on `ds` and transform it.
     pub fn fit_transform(ds: &Dataset) -> Dataset {
         Self::fit(ds).transform(ds)
+    }
+
+    /// One value of [`RangeNormalizer::transform`]: `v / (mx · m)`
+    /// clamped into `[-1/m, 1/m]`, or zero for a constant-zero feature.
+    ///
+    /// A maximum near `f64::MAX` makes `mx · m` overflow to infinity,
+    /// which would map every value of the column to zero. That case is
+    /// computed as `(v / mx) / m`. Whenever `mx · m` is finite the result
+    /// is the plain formula, bit for bit.
+    pub fn scale(v: f64, mx: f64, m: f64) -> f64 {
+        if mx == 0.0 {
+            return 0.0;
+        }
+        let span = mx * m;
+        let t = if span.is_finite() {
+            v / span
+        } else {
+            (v / mx) / m
+        };
+        t.clamp(-1.0 / m, 1.0 / m)
     }
 }
 
@@ -297,6 +310,25 @@ mod tests {
         let out = norm.transform(&bigger);
         assert!((out.sample(0)[0] - 1.0 / 3.0).abs() < 1e-12); // clamped to 1/M
         assert!((out.sample(0)[1] - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn range_max_survives_a_maximum_whose_span_overflows() {
+        // mx · M = 4e308 overflows; every value of column 0 used to
+        // normalise to zero.
+        let ds = Dataset::from_rows(
+            "huge",
+            vec![vec![1e308, 1.0, 1.0, 1.0], vec![5e307, 2.0, 2.0, 2.0]],
+            None,
+        )
+        .unwrap();
+        let out = RangeNormalizer::fit_transform(&ds);
+        assert_eq!(out.sample(0)[0], 0.25);
+        assert_eq!(out.sample(1)[0], 0.125);
+        // The ordinary columns keep the plain formula, bit for bit.
+        assert_eq!(out.sample(0)[1], 1.0 / (2.0 * 4.0));
+        assert_eq!(out.sample(1)[1], 2.0 / (2.0 * 4.0));
+        assert_eq!(RangeNormalizer::scale(-1e308, 1e308, 4.0), -0.25);
     }
 
     #[test]

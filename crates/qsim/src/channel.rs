@@ -1,27 +1,31 @@
-//! Structured per-gate channel application over batched vec(ρ) panels.
+//! Structured per-gate channel application over batched vec(ρ) panels —
+//! the one place a noisy circuit segment and the noisy SWAP-test readout
+//! are lowered.
 //!
-//! The dense noisy path fuses a whole lowered segment into one
-//! `4^n × 4^n` superoperator — exact, but `O(16^n)` to build and store,
-//! which walls the register width around n ≈ 5. This module keeps the
-//! *structure* of the segment instead: a [`ChannelProgram`] is a flat IR
-//! of local operations (fused 1q unitary-conjugation ⊕ noise steps, CX
-//! permutations, 2q unitary conjugations, closed-form depolarizing,
-//! reset and amplitude/phase-damping channels) that is lowered **once**
-//! per (group, level) and then executed column-lockstep over the whole
-//! batch's `4^n × S` panel with the [`crate::density`] /
-//! [`crate::kernel`] lane kernels — `O(G · 4^n · S)` for `G` program
-//! ops, never materialising a `16^n` object.
+//! A [`ChannelProgram`] is a flat IR of local operations (fused 1q
+//! unitary-conjugation ⊕ noise steps, CX permutations, 2q unitary
+//! conjugations, closed-form depolarizing, reset and amplitude/phase-
+//! damping channels) that is lowered **once** per (group, level) and
+//! then executed column-lockstep over the whole batch's `4^n × S` panel
+//! with the [`crate::density`] / [`crate::kernel`] lane kernels —
+//! `O(G · 4^n · S)` for `G` program ops, never materialising a `16^n`
+//! object.
 //!
 //! The readout side gets the same treatment: [`SwapTestMpo`] is the
 //! noisy SWAP-test functional `W` in matrix-product-operator form. The
 //! pulled-back ancilla observable threads through the per-pair noisy
 //! lowered CSWAP channels with bond dimension 4 (the ancilla's operator
-//! space), so `Y = W · P` is computed as an `O(n · 4^n · S)` sweep —
-//! the `16^n × 16^n`-entry `W` of the dense path is never built.
+//! space), so `Y = W · P` is computed as an `O(n · 4^n · S)` sweep.
 //!
-//! The dense path remains the bit-exact small-n oracle; the
-//! `engine_structured_properties` suite pins this module against it at
-//! n ∈ {2, 3} to ≤ 1e-9.
+//! Where a dense `4^n × 4^n` object pays (small registers, where one GEMM
+//! beats a walk of lane kernels), it is the same lowering multiplied out
+//! over the identity panel: [`ChannelProgram::to_superop`] and
+//! [`SwapTestMpo::to_functional`]. The oracles sit outside this module's
+//! production path: the program is pinned against the per-gate
+//! [`DensityMatrix`] walk and the MPO against a forward simulation of the
+//! full `2n + 1`-qubit SWAP-test network (this module's tests), and the
+//! scoring engines built on both against the paper-literal circuit
+//! simulation.
 
 use crate::circuit::{Circuit, Operation};
 use crate::complex::C64;
@@ -354,6 +358,44 @@ impl ChannelProgram {
             }
         }
     }
+
+    /// The program multiplied out into its dense `4^n × 4^n`
+    /// superoperator over row-major vec(ρ): [`ChannelProgram::apply_panel`]
+    /// run on the identity panel, so `S · vec(ρ)` reproduces the program
+    /// column for column.
+    pub fn to_superop(&self) -> CMatrix {
+        materialise(1usize << (2 * self.num_qubits), |block, width| {
+            self.apply_panel(block, width);
+        })
+    }
+}
+
+/// Bytes of identity panel [`materialise`] pushes through a map at a
+/// time — small enough to stay cache-resident and to keep the MPO's four
+/// bond panels far below the size of the matrix being built.
+const MATERIALISE_BLOCK_BYTES: usize = 1 << 20;
+
+/// Materialises a column-wise linear map on `dim2 × samples` vec(ρ)
+/// panels as a dense `dim2 × dim2` matrix by applying it to the identity
+/// panel, one block of columns at a time. `apply` overwrites the block
+/// (`dim2 × width`, row-major) with its image.
+fn materialise(dim2: usize, mut apply: impl FnMut(&mut [C64], usize)) -> CMatrix {
+    let width = (MATERIALISE_BLOCK_BYTES / (dim2 * std::mem::size_of::<C64>())).clamp(1, dim2);
+    let mut out = CMatrix::zeros(dim2, dim2);
+    let mut block = Vec::with_capacity(dim2 * width);
+    for c0 in (0..dim2).step_by(width) {
+        let w = width.min(dim2 - c0);
+        block.clear();
+        block.resize(dim2 * w, C64::ZERO);
+        for k in 0..w {
+            block[(c0 + k) * w + k] = C64::ONE;
+        }
+        apply(&mut block, w);
+        for (i, image) in block.chunks_exact(w).enumerate() {
+            out.as_mut_slice()[i * dim2 + c0..][..w].copy_from_slice(image);
+        }
+    }
+    out
 }
 
 /// The noisy SWAP-test readout functional in matrix-product-operator
@@ -535,6 +577,19 @@ impl SwapTestMpo {
                 + self.beta[3] * bonds[3][i];
         }
     }
+
+    /// The dense `4^n × 4^n` readout functional `W`, with
+    /// `P(ancilla = 1) = vec(ρ_A)ᵀ · W · vec(ρ_B)` before readout
+    /// confusion: [`SwapTestMpo::apply_panel`] run on the identity panel.
+    /// Scratch stays at a few MiB beside `W` itself.
+    pub fn to_functional(&self) -> CMatrix {
+        let mut image = Vec::new();
+        materialise(1usize << (2 * self.num_qubits), |block, width| {
+            image.resize(block.len(), C64::ZERO);
+            self.apply_panel(block, width, &mut image);
+            block.copy_from_slice(&image);
+        })
+    }
 }
 
 /// Borrows the four lane runs of one qubit-pair vec-index field
@@ -624,10 +679,20 @@ mod tests {
         }
     }
 
+    /// The ideal, Brisbane and Brisbane ×2 models the materialised
+    /// objects are pinned under.
+    fn test_noise_models() -> [Option<NoiseModel>; 3] {
+        [
+            None,
+            Some(NoiseModel::brisbane()),
+            Some(NoiseModel::brisbane().scaled(2.0)),
+        ]
+    }
+
     #[test]
     fn program_matches_dense_walk_under_noise() {
         for n in [2usize, 3] {
-            for noise_model in [None, Some(NoiseModel::brisbane())] {
+            for noise_model in test_noise_models() {
                 let gate_noise = noise_model
                     .as_ref()
                     .map(GateNoise::from_model)
@@ -648,11 +713,21 @@ mod tests {
                     }
                 }
                 program.apply_panel(&mut panel, samples);
+                let superop = program.to_superop();
+                assert_eq!((superop.rows(), superop.cols()), (dim * dim, dim * dim));
 
                 for (j, s) in states.iter().enumerate() {
                     let mut rho = DensityMatrix::from_cmatrix(s).unwrap();
                     evolve_dense(&mut rho, &circ, &gate_noise);
                     let expect = rho.as_slice();
+                    // The multiplied-out superoperator is the same map.
+                    let image = superop.mul_vec(s.as_slice());
+                    for (idx, (got, want)) in image.iter().zip(expect).enumerate() {
+                        assert!(
+                            got.approx_eq(*want, TOL),
+                            "n={n} sample {j} superop entry {idx}: {got} vs {want}"
+                        );
+                    }
                     let mut trace = C64::ZERO;
                     for r in 0..dim {
                         trace += panel[(r * dim + r) * samples + j];
@@ -823,8 +898,8 @@ mod tests {
 
     #[test]
     fn mpo_readout_matches_forward_simulation() {
-        for n in [1usize, 2] {
-            for noise_model in [None, Some(NoiseModel::brisbane())] {
+        for n in [1usize, 2, 3] {
+            for noise_model in test_noise_models() {
                 let gate_noise = noise_model
                     .as_ref()
                     .map(GateNoise::from_model)
@@ -852,6 +927,19 @@ mod tests {
                 assert!(
                     (raw.re - expect).abs() < 1e-9 && raw.im.abs() < 1e-9,
                     "n={n}: MPO readout {raw} vs forward {expect}"
+                );
+                // The multiplied-out functional: vec(ρ_A)ᵀ · W · vec(ρ_B).
+                let w = mpo.to_functional();
+                assert_eq!((w.rows(), w.cols()), (dim2, dim2));
+                let dense: C64 = rho_a
+                    .as_slice()
+                    .iter()
+                    .zip(w.mul_vec(&vec_b))
+                    .map(|(&a, wb)| a * wb)
+                    .sum();
+                assert!(
+                    (dense.re - expect).abs() < TOL && dense.im.abs() < TOL,
+                    "n={n}: dense functional {dense} vs forward {expect}"
                 );
             }
         }

@@ -64,8 +64,8 @@ pub const fn max_density_qubits() -> usize {
 }
 
 // The budget must reproduce the simulator's historical 13-qubit ceiling —
-// the swap-test observable build relies on `2n+1 ≤ 13` staying legal for
-// the dense small-n oracle.
+// the paper-literal noisy circuit oracle simulates the full `2n+1`-qubit
+// register, which must stay legal up to the dense engines' n ≤ 6.
 const _: () = assert!(max_density_qubits() == 13);
 
 impl DensityMatrix {
@@ -95,11 +95,11 @@ impl DensityMatrix {
     /// Wraps an arbitrary square matrix over a power-of-two dimension as a
     /// `DensityMatrix`, so the gate/Kraus/superoperator kernels can evolve
     /// it. Every kernel is a *linear* map on the matrix entries, so this is
-    /// also the door to operator algebra beyond states: evolving the
-    /// matrix-unit basis `E_ij` column-by-column yields a channel's
-    /// superoperator, and evolving a POVM element backwards (adjoint
-    /// kernels) yields Heisenberg-picture observables. Neither use is a
-    /// valid quantum state, and no positivity or trace check is applied.
+    /// also the door to operator algebra beyond states: evolving an
+    /// observable backwards (adjoint kernels) yields its Heisenberg-picture
+    /// pull-back, as the SWAP-test MPO's constant-size pull-backs do. Such
+    /// operands are not valid quantum states, and no positivity or trace
+    /// check is applied.
     ///
     /// # Errors
     ///

@@ -1,9 +1,10 @@
 //! Parallel batch execution.
 //!
 //! Quorum's ensemble groups are "embarrassingly parallel" (paper §IV-F):
-//! every group is independent. This module provides a work-stealing batch
-//! runner over any [`Backend`] plus the resident [`WorkerPool`] that
-//! executes it: parked OS threads that live for the whole process, so a
+//! every group is independent. This module provides the indexed parallel
+//! map ([`map_indexed`], [`map_indexed_with`]) that the scoring engines and
+//! the serving runtime fan work out with, plus the resident [`WorkerPool`]
+//! that executes it: parked OS threads that live for the whole process, so a
 //! streaming workload (one scored panel after another) pays thread spawn
 //! and join once instead of per panel — and, because the workers are the
 //! *same* threads every panel, every `thread_local` scratch buffer in the
@@ -17,9 +18,6 @@
 //! this codebase does. The pool never changes what is computed, only who
 //! computes it.
 
-use crate::circuit::Circuit;
-use crate::error::QsimError;
-use crate::simulator::{Backend, OutcomeDistribution};
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
@@ -285,34 +283,6 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Computes the exact outcome distribution of every circuit, fanning work
-/// out over `threads` OS threads (1 = sequential). Result order matches
-/// input order.
-///
-/// # Examples
-///
-/// ```
-/// use qsim::circuit::Circuit;
-/// use qsim::parallel::run_batch;
-/// use qsim::simulator::StatevectorBackend;
-///
-/// let mut qc = Circuit::with_clbits(1, 1);
-/// qc.h(0).measure(0, 0);
-/// let circuits = vec![qc.clone(), qc];
-/// let results = run_batch(&StatevectorBackend::new(), &circuits, 2);
-/// assert_eq!(results.len(), 2);
-/// assert!(results[0].as_ref().unwrap().marginal_one(0) > 0.49);
-/// ```
-pub fn run_batch<B: Backend>(
-    backend: &B,
-    circuits: &[Circuit],
-    threads: usize,
-) -> Vec<Result<OutcomeDistribution, QsimError>> {
-    map_indexed(circuits.len(), threads, |idx| {
-        backend.probabilities(&circuits[idx])
-    })
-}
-
 /// Runs a closure over indexed work items in parallel, collecting outputs
 /// in input order. Generic helper for ensemble-level parallelism where the
 /// work is not a single circuit (e.g. a whole Quorum ensemble group).
@@ -404,57 +374,6 @@ impl<T> MapCell<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::StatevectorBackend;
-
-    fn sample_circuit(theta: f64) -> Circuit {
-        let mut qc = Circuit::with_clbits(2, 1);
-        qc.ry(theta, 0).cx(0, 1).measure(1, 0);
-        qc
-    }
-
-    #[test]
-    fn batch_results_preserve_order() {
-        let circuits: Vec<Circuit> = (0..16).map(|i| sample_circuit(i as f64 * 0.2)).collect();
-        let backend = StatevectorBackend::new();
-        let seq = run_batch(&backend, &circuits, 1);
-        let par = run_batch(&backend, &circuits, 4);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert!((a.marginal_one(0) - b.marginal_one(0)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn batch_handles_more_threads_than_work() {
-        let circuits = vec![sample_circuit(0.3)];
-        let out = run_batch(&StatevectorBackend::new(), &circuits, 64);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].is_ok());
-    }
-
-    #[test]
-    fn batch_handles_empty_input() {
-        let out = run_batch(&StatevectorBackend::new(), &[], 4);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn batch_propagates_errors_per_item() {
-        let good = sample_circuit(0.5);
-        let mut bad = Circuit::with_clbits(2, 1);
-        // Valid circuit object but will exceed the branch cap at runtime.
-        bad.h(0).h(1);
-        for _ in 0..15 {
-            bad.reset(0);
-            bad.h(0);
-        }
-        bad.measure(0, 0);
-        let backend = StatevectorBackend::new().with_max_branches(4);
-        let out = run_batch(&backend, &[good, bad], 2);
-        assert!(out[0].is_ok());
-        assert!(out[1].is_err());
-    }
 
     #[test]
     fn map_indexed_matches_sequential() {
@@ -462,6 +381,8 @@ mod tests {
         let par = map_indexed(100, 8, |i| i * i);
         assert_eq!(seq, par);
         assert_eq!(seq[7], 49);
+        // More threads than items.
+        assert_eq!(map_indexed(1, 64, |i| i + 5), vec![5]);
     }
 
     #[test]

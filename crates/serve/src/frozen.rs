@@ -5,7 +5,7 @@
 
 use crate::artifact::{FrozenArtifact, FrozenGroup, FrozenNormalizer, LevelStats};
 use crate::error::ServeError;
-use qdata::{Dataset, MinMaxNormalizer, SamplePanel};
+use qdata::{Dataset, MinMaxNormalizer, RangeNormalizer, SamplePanel};
 use qmetrics::stats;
 use qsim::parallel::map_indexed;
 use quorum_core::ansatz::AnsatzParams;
@@ -214,6 +214,7 @@ impl FrozenDetector {
                 levels.len()
             )));
         }
+        check_artifact_numbers(&normalizer, &frozen_groups, &frozen_stats)?;
         let mut groups = Vec::with_capacity(frozen_groups.len());
         for frozen in frozen_groups {
             groups.push(thaw_group(
@@ -553,7 +554,6 @@ impl FrozenDetector {
             }
         }
         let m = self.num_features as f64;
-        let bound = 1.0 / m;
         panel.features = self.num_features;
         panel.data.clear();
         panel.data.reserve(rows.len() * self.num_features);
@@ -561,14 +561,11 @@ impl FrozenDetector {
             FrozenNormalizer::RangeMax(norm) => {
                 let maxima = norm.maxima();
                 for r in rows {
-                    panel.data.extend(r.iter().zip(maxima).map(|(&v, &mx)| {
-                        let t = if mx == 0.0 {
-                            0.0
-                        } else {
-                            (v / (mx * m)).clamp(-bound, bound)
-                        };
-                        t.abs()
-                    }));
+                    panel.data.extend(
+                        r.iter()
+                            .zip(maxima)
+                            .map(|(&v, &mx)| RangeNormalizer::scale(v, mx, m).abs()),
+                    );
                 }
             }
             FrozenNormalizer::MinMax(norm) => {
@@ -714,6 +711,61 @@ impl FrozenDetector {
         }
         Ok(())
     }
+}
+
+/// Rejects artifact numbers no scoring path can use: non-finite or
+/// negative reference statistics and normaliser parameters, and
+/// non-finite encoder entries or ansatz angles. The checksum only proves
+/// the payload is the one that was sealed; a re-sealed NaN std would
+/// otherwise thaw and score every sample NaN.
+fn check_artifact_numbers(
+    normalizer: &FrozenNormalizer,
+    groups: &[FrozenGroup],
+    stats: &[Vec<LevelStats>],
+) -> Result<(), ServeError> {
+    let reject = |what: String| Err(ServeError::Artifact(what));
+    match normalizer {
+        FrozenNormalizer::RangeMax(norm) => {
+            if let Some(mx) = norm
+                .maxima()
+                .iter()
+                .find(|mx| !mx.is_finite() || **mx < 0.0)
+            {
+                return reject(format!(
+                    "range-max maximum {mx} is not finite and non-negative"
+                ));
+            }
+        }
+        FrozenNormalizer::MinMax(norm) => {
+            if let Some(lo) = norm.mins().iter().find(|lo| !lo.is_finite()) {
+                return reject(format!("min-max minimum {lo} is not finite"));
+            }
+            // `+inf` is legal: a finite column can span more than f64::MAX.
+            if let Some(range) = norm.ranges().iter().find(|r| r.is_nan() || **r < 0.0) {
+                return reject(format!("min-max range {range} is NaN or negative"));
+            }
+        }
+    }
+    for g in groups {
+        let angles = g.layers.iter().flat_map(|(rx, rz)| rx.iter().chain(rz));
+        if angles.copied().any(|a| !a.is_finite()) {
+            return reject(format!("group {} has a non-finite ansatz angle", g.index));
+        }
+        if g.encoder.as_slice().iter().any(|z| !z.is_finite()) {
+            return reject(format!("group {} has a non-finite encoder entry", g.index));
+        }
+    }
+    for (g, per_level) in stats.iter().enumerate() {
+        for (l, s) in per_level.iter().enumerate() {
+            if !s.mean.is_finite() || !s.std.is_finite() || s.std < 0.0 {
+                return reject(format!(
+                    "group {g} level {l} statistics are unusable (mean {}, std {})",
+                    s.mean, s.std
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Validates and reassembles one frozen group.

@@ -2,13 +2,13 @@
 //! execution modes and engines, coalescing invariance, sampled-draw
 //! reproducibility, and the TCP server under concurrent clients.
 
-use qdata::Dataset;
+use qdata::{Dataset, MinMaxNormalizer, RangeNormalizer};
 use qsim::NoiseModel;
 use quorum_core::config::{EngineKind, ExecutionMode, Normalization};
 use quorum_core::{QuorumConfig, QuorumDetector};
 use quorum_serve::{
-    BatchScorer, CoalescePolicy, FrozenArtifact, FrozenDetector, OverloadPolicy, QuorumServer,
-    ScoreClient, ServeError,
+    BatchScorer, CoalescePolicy, FrozenArtifact, FrozenDetector, FrozenNormalizer, OverloadPolicy,
+    QuorumServer, ScoreClient, ServeError,
 };
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -136,6 +136,35 @@ fn minmax_column_wider_than_f64_max_scores_finite() {
     assert!(replay.scores().iter().all(|s| s.is_finite()));
     // The in-process detector agrees with the frozen replay.
     let direct = QuorumDetector::new(config).unwrap().score(&wide).unwrap();
+    assert_eq!(direct.scores(), replay.scores());
+}
+
+/// A range-max reference column whose maximum times the feature count
+/// overflows must still normalise as `(v / max) / M` on the pooled
+/// streaming path instead of collapsing to zero: rows that differ only in
+/// that column score differently, and the frozen replay still matches the
+/// in-process detector.
+#[test]
+fn range_max_column_with_overflowing_span_keeps_its_signal() {
+    let mut rows = reference().rows().to_vec();
+    for (i, row) in rows.iter_mut().enumerate() {
+        row[0] = 1e308 * (1.0 - 0.05 * i as f64);
+    }
+    let huge = Dataset::from_rows("huge", rows, None).unwrap();
+    let config = base_config().with_normalization(Normalization::RangeMax);
+    let frozen = FrozenDetector::freeze(config.clone(), &huge).unwrap();
+    let mut stream = stream_rows(1);
+    stream.push(stream[0].clone());
+    stream[0][0] = 1e308;
+    stream[1][0] = 5e307;
+    let scores = frozen.score_samples(&stream, 0).unwrap();
+    assert!(scores.iter().all(|s| s.is_finite()), "{scores:?}");
+    assert_ne!(
+        scores[0], scores[1],
+        "the overflowing column must not normalise to zero"
+    );
+    let replay = frozen.score_dataset(&huge).unwrap();
+    let direct = QuorumDetector::new(config).unwrap().score(&huge).unwrap();
     assert_eq!(direct.scores(), replay.scores());
 }
 
@@ -273,6 +302,81 @@ fn tampered_artifacts_thaw_to_typed_errors() {
         FrozenDetector::thaw(rebuilt),
         Err(ServeError::Artifact(_))
     ));
+}
+
+/// Artifact numbers no scoring path can use thaw to a typed error rather
+/// than a detector that scores NaN: each edit goes to_artifact → edit →
+/// to_bytes (re-sealing the checksum) → from_bytes.
+#[test]
+fn non_finite_artifact_numbers_thaw_to_typed_errors() {
+    let frozen = |config: QuorumConfig| {
+        FrozenDetector::freeze(config, &reference())
+            .unwrap()
+            .to_artifact()
+            .unwrap()
+    };
+    let range_max = frozen(base_config());
+    let min_max = frozen(base_config().with_normalization(Normalization::MinMax));
+    let thaw_after = |artifact: &FrozenArtifact, edit: &dyn Fn(&mut FrozenArtifact)| {
+        let mut edited = artifact.clone();
+        edit(&mut edited);
+        FrozenDetector::from_bytes(&edited.to_bytes().unwrap())
+    };
+    let rejected = |artifact: &FrozenArtifact, edit: &dyn Fn(&mut FrozenArtifact)| {
+        matches!(thaw_after(artifact, edit), Err(ServeError::Artifact(_)))
+    };
+    let set_maximum = |a: &mut FrozenArtifact, v: f64| {
+        let FrozenNormalizer::RangeMax(norm) = &a.normalizer else {
+            panic!("range-max artifact expected");
+        };
+        let mut maxima = norm.maxima().to_vec();
+        maxima[0] = v;
+        a.normalizer = FrozenNormalizer::RangeMax(RangeNormalizer::from_maxima(maxima));
+    };
+    let set_min_max = |a: &mut FrozenArtifact, lo: f64, range: f64| {
+        let FrozenNormalizer::MinMax(norm) = &a.normalizer else {
+            panic!("min-max artifact expected");
+        };
+        let (mut mins, mut ranges) = (norm.mins().to_vec(), norm.ranges().to_vec());
+        mins[0] = lo;
+        ranges[0] = range;
+        a.normalizer = FrozenNormalizer::MinMax(MinMaxNormalizer::from_parts(mins, ranges));
+    };
+
+    for v in [f64::NAN, f64::INFINITY, -1.0] {
+        assert!(rejected(&range_max, &|a| a.stats[0][0].std = v), "std {v}");
+        assert!(rejected(&range_max, &|a| set_maximum(a, v)), "maximum {v}");
+    }
+    for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert!(
+            rejected(&range_max, &|a| a.stats[1][0].mean = v),
+            "mean {v}"
+        );
+        assert!(
+            rejected(&min_max, &|a| set_min_max(a, v, 1.0)),
+            "minimum {v}"
+        );
+        assert!(
+            rejected(&range_max, &|a| a.groups[0].layers[0].0[0] = v),
+            "angle {v}"
+        );
+        assert!(
+            rejected(&range_max, &|a| a.groups[1].encoder[(0, 0)].im = v),
+            "encoder entry {v}"
+        );
+    }
+    for range in [f64::NAN, -1.0] {
+        assert!(
+            rejected(&min_max, &|a| set_min_max(a, 0.0, range)),
+            "range {range}"
+        );
+    }
+    // An infinite range is legal: a finite column can span more than
+    // f64::MAX. So are the untouched numbers.
+    let wide = thaw_after(&min_max, &|a| set_min_max(a, 0.0, f64::INFINITY)).unwrap();
+    let scores = wide.score_samples(&stream_rows(2), 0).unwrap();
+    assert!(scores.iter().all(|s| s.is_finite()), "{scores:?}");
+    assert!(thaw_after(&range_max, &|_| {}).is_ok());
 }
 
 /// Round-trips an artifact through bytes to get an owned copy to mutate.

@@ -1,6 +1,7 @@
 //! Property pins for the analytic density noise engine: under every noise
-//! model the `n`-qubit `vec(ρ)` path (fused noisy superoperators plus the
-//! Heisenberg-picture SWAP-test functional) must agree with the
+//! model the `n`-qubit `vec(ρ)` path (the fused noisy superoperators and
+//! the SWAP-test functional, multiplied out from the channel program and
+//! the readout MPO) must agree with the
 //! paper-literal noisy `2n+1`-qubit circuit simulation — across random
 //! ansatz draws, register widths n ∈ {2, 3}, reset counts and the
 //! ideal/Brisbane/scaled noise models — and must collapse onto the

@@ -7,10 +7,11 @@
 //! (reset, amplitude damping, phase damping, general 2q superoperator)
 //! must satisfy their channel laws against the per-sample dense kernels.
 //!
-//! The dense engine is the bit-exact small-n oracle here; the structured
-//! path reassociates floating-point products (per-qubit 1q-run fusion,
-//! bond-sweep readout), so the equivalence tolerance is 1e-9 rather than
-//! 1e-12.
+//! The dense engine multiplies out the same channel programs and MPO
+//! over the identity panel and applies them as GEMMs; the structured path
+//! applies them op by op, which reassociates floating-point products
+//! (bond-sweep readout, per-sample accumulation), so the equivalence
+//! tolerance is 1e-9 rather than 1e-12.
 //!
 //! The fast blocks run on every `cargo test`; the `#[ignore]`d blocks
 //! are the slow exhaustive suite CI executes with `cargo test --
