@@ -32,13 +32,18 @@ pub enum ExecutionMode {
 ///
 /// The crossover follows the cost model. Both paths run the same
 /// per-(group, level) channel program. The dense path multiplies it out
-/// once over the `4^n`-column identity panel (`O(ops · 16^n)`, cached)
-/// and then pays `O(16^n)` per sample in one GEMM; the structured path
-/// walks ~hundreds of local channel ops at `O(4^n)` per sample and
-/// builds nothing dense. The structured constant is paid off once `4^n`
-/// outgrows the program length, which happens at `n = 5` (see the
-/// `structured_noisy_n5` column of `benches/engine_comparison.rs`).
-pub const STRUCTURED_AUTO_MIN_QUBITS: usize = 5;
+/// once over the `m = 2^(n−1)(2^n + 1)` real-symmetric basis panels
+/// (`O(ops · 4^n · m)`, cached) and then pays `2m²` real flops per
+/// sample and level in one GEMM; the structured path walks ~hundreds of
+/// local channel ops at `O(4^n)` complex work per sample and builds
+/// nothing dense. At n = 5 (`m = 528`) the dense engine wins both
+/// regimes: warm (1 group, 24 samples, 2 levels) and cold one-shot
+/// (4 groups, 809 samples, every level, one thread) alike. At n = 6
+/// (`m = 2080`, 33 MiB per operator, so a group's levels no longer all
+/// stay cached) the cold builds dominate and the structured engine takes
+/// over (see the `structured_noisy_n5` and `structured_noisy_n5_cold`
+/// columns of `benches/engine_comparison.rs`).
+pub const STRUCTURED_AUTO_MIN_QUBITS: usize = 6;
 
 /// Which scoring engine evaluates the per-sample deviations.
 ///
@@ -523,7 +528,7 @@ mod tests {
         // …but Auto resolves wide noisy registers to the structured
         // engine, which never materialises a 16^n object, so the same
         // width validates (up to the global configuration cap).
-        for n in [5, 7, 10] {
+        for n in [6, 7, 10] {
             let auto =
                 QuorumConfig::default()
                     .with_data_qubits(n)
@@ -536,11 +541,16 @@ mod tests {
         }
         // Below the crossover Auto keeps the dense engine, and the
         // widest dense-supported register still validates when forced.
-        let narrow = QuorumConfig::default().with_execution(ExecutionMode::Noisy {
-            noise: NoiseModel::brisbane(),
-            shots: None,
-        });
-        assert_eq!(narrow.effective_engine(), EngineKind::Density);
+        for n in [3, 5] {
+            let narrow =
+                QuorumConfig::default()
+                    .with_data_qubits(n)
+                    .with_execution(ExecutionMode::Noisy {
+                        noise: NoiseModel::brisbane(),
+                        shots: None,
+                    });
+            assert_eq!(narrow.effective_engine(), EngineKind::Density);
+        }
         let ok = QuorumConfig::default()
             .with_data_qubits(6)
             .with_engine(EngineKind::Density)

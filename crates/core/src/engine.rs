@@ -58,31 +58,53 @@
 //!    ([`qsim::parallel::map_indexed_with`]);
 //! 2. keeps the resulting `vec(ρ_in)` columns packed as the `4^n × S`
 //!    matrix `P` (`ρ_B` doubles as register A's input, since Fig. 2 preps
-//!    both registers identically) and pushes the whole batch through each
-//!    level's **fused noisy superoperator** — encoder gates with their
-//!    per-gate channels, the reset Kraus channels, and the decoder — as
-//!    one blocked GEMM `R = S_level·P` through the SIMD kernel seam
-//!    ([`qsim::matrix::CMatrix::matmul_threaded`]). `S_level` is the
+//!    both registers identically) and **folds** it onto real-symmetric
+//!    coordinates: with `d = 2^n`, column `j` becomes
+//!    `x_j = (ρ_ab)_{a≤b}`, `m = d(d+1)/2` real entries (36 at n = 3, 136
+//!    at n = 4, against 64 and 256 complex rows), gathered into the
+//!    `m × S` panel `X` ([`qsim::channel::folded_rows`]);
+//! 3. pushes `X` through each level's **folded noisy operator** `A_l` —
+//!    encoder gates with their per-gate channels, the reset Kraus
+//!    channels and the decoder, as one real `m × m` matrix — in one real
+//!    GEMM `A_l·X` through the kernel seam
+//!    ([`qsim::matrix::RMatrix::matmul_threaded_into`]). `A_l` is the
 //!    segment's [`ChannelProgram`] — the same lowering the structured
-//!    engine walks op by op — multiplied out over the identity panel
-//!    ([`ChannelProgram::to_superop`]), built once per (group, compression
-//!    level) and cached on
-//!    [`crate::ensemble::EnsembleGroup::fused_noisy_superop`];
-//! 3. contracts the batch against a **SWAP-test readout functional**
-//!    `W` — the noisy lowered CSWAP network's `P(ancilla = 1)` as a
-//!    bilinear form over `(vec(ρ_A), vec(ρ_B))`, multiplied out from the
-//!    structured engine's bond-4 [`SwapTestMpo`]
-//!    ([`SwapTestMpo::to_functional`]); `W` depends only on
-//!    `(n, noise model)` and is cached globally — as a second GEMM
-//!    `W·P` shared by every level, leaving one column dot product
-//!    `raw_j = Σ_i R[i,j]·(WP)[i,j]` per sample;
-//! 4. applies the readout confusion to the resulting `P(1)`.
+//!    engine walks op by op — applied to the `m` real-symmetric basis
+//!    panels `E_cc`, `E_cd + E_dc` ([`ChannelProgram::to_folded_superop`]):
+//!    row `(ab)`, column `(cd)` is `Re(S[ab,cd] + S[ab,dc])`, or
+//!    `Re S[ab,cc]` on the diagonal. It is built once per (group,
+//!    compression level) and cached on
+//!    [`crate::ensemble::EnsembleGroup::folded_noisy_superop`];
+//! 4. contracts the batch against the **folded SWAP-test readout** `B`:
+//!    the noisy lowered CSWAP network's `P(ancilla = 1)` as a bilinear
+//!    form, taken from the structured engine's bond-4 [`SwapTestMpo`]
+//!    on the same basis panels, with `Re W` summed over the `(ab, ba)`
+//!    rows and `(cd, dc)` columns ([`SwapTestMpo::to_folded_functional`]).
+//!    `B` depends only on `(n, noise model)` and is cached globally; `B·X`
+//!    is one GEMM shared by every level, leaving one column dot product
+//!    `raw_j = Σ_r (A_l x_j)_r · (B x_j)_r` per sample;
+//! 5. applies the readout confusion to the resulting `P(1)`.
 //!
-//! [`SampleDensityEngine`] keeps the PR 3 one-matvec-per-(sample, level)
-//! path as the batched engine's cross-check oracle, exactly as
-//! [`AnalyticEngine`] does for the pure-state batch. Both orderings
-//! accumulate per sample in the same index order, so they agree to
-//! machine precision (bit-for-bit without the `simd` feature).
+//! The fold is exact, not an approximation. The embedding is real, and
+//! the preparation is RY and CX gates under real Kraus channels for
+//! every [`NoiseModel`], so every prepared `ρ` is real symmetric (the
+//! engine checks: any imaginary part is [`QuorumError::Internal`]). The
+//! readout functional `W` is real up to rounding (building `B` checks
+//! the `|Im|` of `W`'s basis images against `1e-12 ·` their largest
+//! magnitude), and only the real part of the
+//! overlap is read out. Then `Re(ρ_A^T W ρ_B)` only sees `Re ρ_A`, which
+//! is symmetric because the channel preserves hermiticity, so summing
+//! `W`'s `(ab)` and `(ba)` rows accounts for every entry of `ρ_A` it
+//! pairs with. Per sample and level that is `2m²` real flops instead of
+//! `8·16^n` (14× fewer at n = 4), and the cached objects shrink from
+//! `16^n` complex to `m²` real entries.
+//!
+//! [`SampleDensityEngine`] keeps the one-matvec-per-(sample, level)
+//! path over the same folded operators as the batched engine's
+//! cross-check oracle, exactly as [`AnalyticEngine`] does for the
+//! pure-state batch. Both orderings accumulate per sample in the same
+//! index order, so they agree to machine precision (bit-for-bit without
+//! the `simd` feature).
 //!
 //! Every noisy physical gate of the Fig. 2 circuit is accounted for with
 //! the same fused channels the density-matrix backend applies
@@ -95,9 +117,11 @@
 //! whether they multiply it out. The oracle chain that pins it: the
 //! program against the per-gate density-matrix walk and the MPO against
 //! a forward simulation of the SWAP-test network (`qsim::channel`'s
-//! tests), [`SampleDensityEngine`] (per-sample gate-walk preparation)
-//! against [`DensityEngine`] to ≤ 1e-9, and the dense engine against the
-//! paper-literal [`CircuitEngine`] to ≤ 1e-9.
+//! tests, which also pin the folded forms), [`SampleDensityEngine`]
+//! (per-sample gate-walk preparation) against [`DensityEngine`] to
+//! ≤ 1e-9, the structured engine (which never folds) against the dense
+//! one to ≤ 1e-9, and the dense engine against the paper-literal
+//! [`CircuitEngine`] to ≤ 1e-9.
 //!
 //! Exact mode reproduces the branching backend's semantics to ≲1e-12;
 //! Sampled mode draws the same binomial statistics from the exact
@@ -113,11 +137,11 @@ use crate::config::{EngineKind, ExecutionMode, QuorumConfig};
 use crate::ensemble::{derive_seed, EnsembleGroup};
 use crate::error::QuorumError;
 use qdata::{Dataset, SamplePanel};
-use qsim::channel::{ChannelProgram, SwapTestMpo};
+use qsim::channel::{folded_dim, folded_rows, ChannelProgram, SwapTestMpo};
 use qsim::circuit::{Circuit, Operation};
 use qsim::complex::C64;
 use qsim::density::{permute_cx_columns, ry_conjugate_columns, DensityMatrix};
-use qsim::matrix::{CMatrix, GEMM_COL_BLOCK};
+use qsim::matrix::{CMatrix, RMatrix, GEMM_COL_BLOCK};
 use qsim::parallel::map_indexed_with;
 use qsim::simulator::{
     Backend, DensityMatrixBackend, GateNoise, OutcomeDistribution, StatevectorBackend,
@@ -262,10 +286,12 @@ fn ensure_pure_state(config: &QuorumConfig) -> Result<(), QuorumError> {
     Ok(())
 }
 
-/// The widest data register the dense density engines support: they
-/// materialise `16^n`-entry objects (each level's superoperator and the
-/// readout functional, 256 MiB apiece at n = 6), and one more qubit
-/// would make each 4 GiB. Wider registers run on the structured engine.
+/// The widest data register the dense density engines support. Each
+/// level's folded operator and the folded readout are real `m × m`
+/// matrices with `m = 2^(n−1)(2^n + 1)` — 33 MiB apiece at n = 6 — and
+/// building one applies the channel program to `m` basis panels of
+/// `4^n` complex rows; one more qubit makes each object 520 MiB and each
+/// build 16× dearer. Wider registers run on the structured engine.
 const MAX_DENSITY_DATA_QUBITS: usize = 6;
 
 /// The mode half of the density engines' guard: without a noise model
@@ -282,8 +308,8 @@ fn ensure_noisy_mode(config: &QuorumConfig) -> Result<(), QuorumError> {
 }
 
 /// The full guard for the **dense** density engines: Noisy mode plus the
-/// register-width limit — the dense path materialises `16^n` fused
-/// objects (the superoperators and the readout functional), so oversized
+/// register-width limit — the dense path materialises dense `m × m`
+/// folded objects (one operator per level and the readout), so oversized
 /// registers are rejected up front rather than on a huge allocation. The
 /// structured engine has no such objects and checks only the mode
 /// ([`ensure_noisy_mode`]).
@@ -292,8 +318,8 @@ fn ensure_noisy(config: &QuorumConfig) -> Result<(), QuorumError> {
     if config.data_qubits > MAX_DENSITY_DATA_QUBITS {
         return Err(QuorumError::InvalidConfig(format!(
             "dense noisy scoring supports at most {MAX_DENSITY_DATA_QUBITS} data qubits, got {} \
-             (each dense superoperator and readout functional holds 16^n complex entries, \
-             4 GiB apiece past the cap); wider registers run on the structured density engine",
+             (each folded operator and readout holds (2^(n-1)(2^n+1))^2 real entries, \
+             520 MiB apiece past the cap); wider registers run on the structured density engine",
             config.data_qubits
         )));
     }
@@ -491,14 +517,14 @@ impl ScoringEngine for AnalyticEngine {
 }
 
 /// One GEMM per (group, level) is far too small at flagship scale
-/// (`8×8 · 8×96` encoder, `64×64 · 64×96` superoperator products) to
+/// (`8×8 · 8×96` encoder, `36×36 · 36×96` folded-operator products) to
 /// amortise thread spawn, so the batched engines only thread the product
 /// when a single one is genuinely large (roughly `n ≥ 7` for the
-/// pure-state path, `n ≥ 4` for the density path, at realistic batch
-/// sizes).
+/// pure-state path; for the density path `n = 4` past ~110 samples and
+/// `n ≥ 5` at realistic batch sizes).
 const GEMM_PARALLEL_WORK: usize = 1 << 21;
 
-/// Worker threads for one batched GEMM (encoder or superoperator), from
+/// Worker threads for one batched GEMM (encoder or folded operator), from
 /// the configured thread count
 /// and the product's `dim² × samples` work estimate. Multi-group
 /// ensembles keep the GEMM sequential regardless of size: the detector
@@ -736,15 +762,13 @@ impl BatchedAnalyticEngine {
 
 /// The fused noisy superoperator of one group's bottlenecked autoencoder
 /// segment — encoder gates with their per-gate noise channels, the
-/// `reset_count` reset Kraus channels, and the decoder — as a
+/// `reset_count` reset Kraus channels, and the decoder — as a complex
 /// `4^n × 4^n` matrix over row-major `vec(ρ)`: the segment's
 /// [`ChannelProgram`] ([`build_channel_program`]) multiplied out over the
-/// identity panel ([`ChannelProgram::to_superop`]). The dense engines thus
-/// apply exactly what the structured engine walks op by op. Lowered here
-/// rather than through the group's program cache, so the superoperator
-/// and program fusion counters stay independent. Called through the
-/// per-group cache ([`EnsembleGroup::fused_noisy_superop`]); one build
-/// covers every sample.
+/// identity panel ([`ChannelProgram::to_superop`]). No scoring path uses
+/// it; it backs [`EnsembleGroup::fused_noisy_superop`], the uncached
+/// complex map the trace-preservation tests and the benchmark probes
+/// read.
 ///
 /// # Errors
 ///
@@ -756,6 +780,28 @@ pub(crate) fn build_noisy_superop(
     reset_count: usize,
 ) -> Result<CMatrix, QuorumError> {
     Ok(build_channel_program(ansatz, noise, reset_count)?.to_superop())
+}
+
+/// The same segment folded onto real-symmetric coordinates: the real
+/// `m × m` operator `A` (`m = d(d+1)/2`) of
+/// [`ChannelProgram::to_folded_superop`], whose rows are `Re` of the
+/// output's upper triangle for a real symmetric input — what the dense
+/// engines multiply by. Lowered here rather than through the group's
+/// program cache, so the folded-operator and program build counters stay
+/// independent. Called through the per-group cache
+/// ([`EnsembleGroup::folded_noisy_superop`]); one build covers every
+/// sample.
+///
+/// # Errors
+///
+/// Propagates lowering failures (effectively infallible for valid
+/// ansätze).
+pub(crate) fn build_folded_superop(
+    ansatz: &AnsatzParams,
+    noise: &NoiseModel,
+    reset_count: usize,
+) -> Result<RMatrix, QuorumError> {
+    Ok(build_channel_program(ansatz, noise, reset_count)?.to_folded_superop())
 }
 
 /// Lowers one group's bottlenecked autoencoder segment — encoder,
@@ -839,40 +885,84 @@ fn noisy_prepared_state(
     Ok(rho)
 }
 
-/// Bytes the global SWAP-test functional cache may retain — a backstop
-/// for pathological many-model or wide-register workloads, far above
-/// anything the pipeline or test suites create (a flagship n = 3
-/// functional is ~65 KiB).
+/// Bytes the global folded-readout cache may retain. A folded readout
+/// `B` is `m² · 8` bytes with `m = d(d+1)/2`: 10 KiB at n = 3, 145 KiB at
+/// n = 4, 2.1 MiB at n = 5 and 33 MiB at n = 6, so every supported width
+/// fits and stays resident; the bound is a backstop for pathological
+/// many-model workloads.
 const SWAP_FUNCTIONAL_CACHE_BYTES: usize = 64 << 20;
 
-/// The process-wide SWAP-test functional store: `W` depends only on the
+/// The process-wide folded-readout store: `B` depends only on the
 /// register width and the noise model, so every group, sample and
 /// serving request of the process shares one instance per key. The
 /// [`ByteBounded`] store recovers from mutex poisoning (a panicked
 /// scorer must not wedge a resident server) and evicts oldest-first on
 /// overflow instead of flushing the hot entries.
-static SWAP_FUNCTIONAL_CACHE: ByteBounded<(usize, NoiseModel), CMatrix> = ByteBounded::new();
+static SWAP_FUNCTIONAL_CACHE: ByteBounded<(usize, NoiseModel), RMatrix> = ByteBounded::new();
 
-/// The globally cached SWAP-test readout functional (see
-/// [`SWAP_FUNCTIONAL_CACHE`]): the SWAP-test readout `W` with
-/// `P(ancilla = 1) = vec(ρ_A)ᵀ · W · vec(ρ_B)` before readout confusion,
+/// The globally cached folded SWAP-test readout (see
+/// [`SWAP_FUNCTIONAL_CACHE`]): the real `m × m` form `B` with
+/// `P(ancilla = 1) = Σ_r x_A,r · (B x_B)_r` before readout confusion,
 /// counting every noisy lowered gate of the CSWAP network — the
-/// structured engine's [`SwapTestMpo`] multiplied out over the identity
-/// panel ([`SwapTestMpo::to_functional`]). Retention is bounded by
-/// [`SWAP_FUNCTIONAL_CACHE_BYTES`]; oversized functionals are returned
-/// uncached. The build runs outside the cache lock.
-fn swap_test_functional(n: usize, noise: &NoiseModel) -> Result<Arc<CMatrix>, QuorumError> {
-    let functional_bytes = |w: &CMatrix| w.rows() * w.cols() * std::mem::size_of::<C64>();
+/// structured engine's [`SwapTestMpo`] run on the real-symmetric basis
+/// panels ([`SwapTestMpo::to_folded_functional`]). Retention is bounded
+/// by [`SWAP_FUNCTIONAL_CACHE_BYTES`]. The build runs outside the cache
+/// lock.
+///
+/// # Errors
+///
+/// [`QuorumError::Simulation`] if the readout is not real, which the fold
+/// needs (it is, for every [`NoiseModel`]).
+fn folded_readout(n: usize, noise: &NoiseModel) -> Result<Arc<RMatrix>, QuorumError> {
     SWAP_FUNCTIONAL_CACHE.get_or_try_build(
         &(n, noise.clone()),
         SWAP_FUNCTIONAL_CACHE_BYTES,
-        functional_bytes,
+        |b: &RMatrix| std::mem::size_of_val(b.as_slice()),
         || {
             SwapTestMpo::build(n, &GateNoise::from_model(noise))
-                .map(|mpo| mpo.to_functional())
+                .and_then(|mpo| mpo.to_folded_functional())
                 .map_err(QuorumError::Simulation)
         },
     )
+}
+
+/// Gathers the real-symmetric coordinates of every column of a row-major
+/// `d² × cols` vec(ρ) panel into `x` (`m × cols`, `m = d(d+1)/2`): row
+/// `r` of `x` is `Re` of the panel row [`folded_rows`] yields `r`-th.
+/// Folding is exact only for real states. The preparation is RY and CX
+/// gates under real Kraus channels for every [`NoiseModel`], so a
+/// non-zero imaginary part means a broken invariant and is reported as
+/// [`QuorumError::Internal`].
+fn gather_folded(src: &[C64], dim: usize, cols: usize, x: &mut RMatrix) -> Result<(), QuorumError> {
+    if src.len() != dim * dim * cols {
+        return Err(QuorumError::Simulation(
+            qsim::QsimError::DimensionMismatch {
+                expected: dim * dim * cols,
+                actual: src.len(),
+            },
+        ));
+    }
+    x.resize_zeroed(folded_dim(dim), cols);
+    if cols == 0 {
+        return Ok(());
+    }
+    for (dst, idx) in x
+        .as_mut_slice()
+        .chunks_exact_mut(cols)
+        .zip(folded_rows(dim))
+    {
+        for (o, z) in dst.iter_mut().zip(&src[idx * cols..(idx + 1) * cols]) {
+            if z.im != 0.0 {
+                return Err(QuorumError::Internal(format!(
+                    "prepared state has imaginary part {:e} at vec(ρ) row {idx}; \
+                     the real-symmetric fold needs real states",
+                    z.im
+                )));
+            }
+            *o = z.re;
+        }
+    }
+    Ok(())
 }
 
 /// Bytes the fused per-gate channel cache may retain — [`GateNoise`] is a
@@ -923,16 +1013,19 @@ fn cached_prep_skeleton(num_qubits: usize) -> Arc<PrepSkeleton> {
 }
 
 /// The batched analytic density-matrix noise engine: `n`-qubit mixed-state
-/// algebra with all sample-independent structure fused and cached, and the
-/// whole group's samples pushed through each level's superoperator (and
-/// the readout functional) as blocked `4^n × S` GEMMs on the SIMD kernel
-/// seam. State preparation itself runs in **lockstep** — all samples
-/// evolve through the shared Möttönen skeleton together, the shared
-/// gates and channels hitting the whole panel per step (see
-/// [`DensityEngine::prepare_batch`]). The superoperators and the
-/// functional are not derived here: they are the structured engine's
-/// [`ChannelProgram`]s and [`SwapTestMpo`] multiplied out over the
-/// identity panel, so the two engines apply one lowering. The default
+/// algebra with all sample-independent structure built once and cached,
+/// and the whole group's samples scored in the coordinates the data
+/// lives in. State preparation runs in **lockstep** — all samples evolve
+/// through the shared Möttönen skeleton together, the shared gates and
+/// channels hitting the whole panel per step (see
+/// [`DensityEngine::prepare_batch`]). Every prepared state is real
+/// symmetric, so the packed `4^n × S` panel folds onto its
+/// `m = d(d+1)/2` upper-triangle entries, and each level's segment and
+/// the SWAP-test readout become real `m × m` matrices: one real GEMM per
+/// level plus one for the readout, on the kernel seam. The folded
+/// objects are not derived here: they are the structured engine's
+/// [`ChannelProgram`]s and [`SwapTestMpo`] applied to the real-symmetric
+/// basis panels, so the two engines apply one lowering. The default
 /// for Noisy execution below [`crate::config::STRUCTURED_AUTO_MIN_QUBITS`]
 /// (see the module docs for the math and the oracle chain);
 /// [`SampleDensityEngine`] keeps the one-matvec-per-sample ordering (and
@@ -942,13 +1035,13 @@ fn cached_prep_skeleton(num_qubits: usize) -> Arc<PrepSkeleton> {
 pub struct DensityEngine;
 
 /// The sample-independent structure of one noisy group pass, fetched or
-/// fused once and shared by both density engines: per-gate channels, the
-/// readout functional, one superoperator per level, and the readout
-/// confusion probability.
+/// built once and shared by both dense density engines: per-gate
+/// channels, the folded readout `B`, one folded operator `A_l` per level,
+/// and the readout confusion probability.
 struct NoisyPassContext {
     gate_noise: Arc<GateNoise>,
-    w: Arc<CMatrix>,
-    superops: Vec<Arc<CMatrix>>,
+    readout_form: Arc<RMatrix>,
+    ops: Vec<Arc<RMatrix>>,
     readout: f64,
 }
 
@@ -968,17 +1061,17 @@ impl NoisyPassContext {
             ensure_reset_range(reset_count, n)?;
         }
         let gate_noise = cached_gate_noise(noise);
-        let w = swap_test_functional(n, noise)?;
-        let superops = levels
+        let readout_form = folded_readout(n, noise)?;
+        let ops = levels
             .iter()
-            .map(|&reset_count| group.fused_noisy_superop(noise, reset_count))
+            .map(|&reset_count| group.folded_noisy_superop(noise, reset_count))
             .collect::<Result<Vec<_>, _>>()?;
         let readout = gate_noise.readout_error();
         Ok((
             NoisyPassContext {
                 gate_noise,
-                w,
-                superops,
+                readout_form,
+                ops,
                 readout,
             },
             shots,
@@ -989,7 +1082,7 @@ impl NoisyPassContext {
     /// overlap — the final step both density engines share per sample.
     fn finish(
         &self,
-        raw: C64,
+        raw: f64,
         shots: Option<u64>,
         config: &QuorumConfig,
         group_index: usize,
@@ -1009,20 +1102,20 @@ impl NoisyPassContext {
 }
 
 /// Readout confusion plus optional shot sampling on one exact raw
-/// overlap — shared verbatim by every density-family engine (dense,
-/// per-sample, structured), so engine switches never change the
-/// deviation model.
+/// overlap (the real part of the SWAP-test bilinear form) — shared
+/// verbatim by every density-family engine (dense, per-sample,
+/// structured), so engine switches never change the deviation model.
 #[allow(clippy::too_many_arguments)] // a formula, not an interface
 fn finish_deviation(
     readout: f64,
-    raw: C64,
+    raw: f64,
     shots: Option<u64>,
     config: &QuorumConfig,
     group_index: usize,
     reset_count: usize,
     sample: usize,
 ) -> f64 {
-    let exact = readout + (1.0 - 2.0 * readout) * raw.re;
+    let exact = readout + (1.0 - 2.0 * readout) * raw;
     match shots {
         Some(k) => {
             let seed = shot_seed(config, group_index, reset_count, sample);
@@ -1053,13 +1146,15 @@ struct PrepScratch {
     coeffs: RyCoeffs,
 }
 
-/// Reusable buffers for the dense scoring half: the readout image
-/// `W·P`, the per-level evolved panel, and the raw column dots.
+/// Reusable buffers for the dense scoring half: the folded panel `X`,
+/// the readout image `B·X`, the per-level image `A_l·X`, and the raw
+/// column dots.
 #[derive(Default)]
 struct ScoreScratch {
-    wp: CMatrix,
-    evolved: CMatrix,
-    raw: Vec<C64>,
+    x: RMatrix,
+    bx: RMatrix,
+    ax: RMatrix,
+    raw: Vec<f64>,
 }
 
 /// The whole per-thread scratch of one dense noisy group pass. Held in a
@@ -1339,13 +1434,17 @@ impl DensityEngine {
 
     /// Scores an already-prepared `4^n × S` batch (the output of
     /// [`DensityEngine::prepare_batch`]) at every requested compression
-    /// level: the readout functional `W·P` once, one cached superoperator
-    /// GEMM plus column dots per level — the score half of the prep/score
-    /// seam, reusable across calls for streaming workloads.
+    /// level: the batch is folded once onto real-symmetric coordinates
+    /// (`X`, `m × S`), the folded readout image `B·X` is formed once, and
+    /// each level costs one real `m × m` GEMM `A_l·X` plus column dots —
+    /// the score half of the prep/score seam, reusable across calls for
+    /// streaming workloads.
     ///
     /// # Errors
     ///
-    /// Rejects non-noisy execution and bad reset counts; propagates
+    /// Rejects non-noisy execution, bad reset counts and panels of the
+    /// wrong height; [`QuorumError::Internal`] for a panel with a
+    /// non-zero imaginary part (prepared states are real); propagates
     /// simulation failures.
     pub fn score_prepared(
         group: &EnsembleGroup,
@@ -1360,9 +1459,9 @@ impl DensityEngine {
     }
 
     /// The body of [`DensityEngine::score_prepared`] running on reusable
-    /// scratch: the two GEMM products land in resident matrices and the
-    /// per-sample accumulator vector is recycled, so steady-state scoring
-    /// allocates nothing panel-proportional.
+    /// scratch: the folded panel and both GEMM products land in resident
+    /// matrices and the per-sample accumulator vector is recycled, so
+    /// steady-state scoring allocates nothing panel-proportional.
     fn score_prepared_scratch(
         group: &EnsembleGroup,
         packed: &CMatrix,
@@ -1371,26 +1470,28 @@ impl DensityEngine {
         scratch: &mut ScoreScratch,
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
         let (ctx, shots) = NoisyPassContext::prepare(group, config, levels)?;
-        let dim2 = packed.rows();
+        let dim = 1usize << group.ansatz().num_qubits();
         let samples = packed.cols();
-        let threads = gemm_threads(config, dim2, samples);
-        ctx.w
-            .matmul_threaded_into(packed, threads, &mut scratch.wp)?;
+        gather_folded(packed.as_slice(), dim, samples, &mut scratch.x)?;
+        let m = scratch.x.rows();
+        let threads = gemm_threads(config, m, samples);
+        ctx.readout_form
+            .matmul_threaded_into(&scratch.x, threads, &mut scratch.bx)?;
 
         let mut out = Vec::with_capacity(levels.len());
-        for (level, superop) in ctx.superops.iter().enumerate() {
-            superop.matmul_threaded_into(packed, threads, &mut scratch.evolved)?;
-            // raw_j = Σ_i evolved[i,j]·wp[i,j], accumulated row-by-row so
-            // each sample sums in the same index order as the per-sample
-            // matvec path — the two engines agree to machine precision.
+        for (level, op) in ctx.ops.iter().enumerate() {
+            op.matmul_threaded_into(&scratch.x, threads, &mut scratch.ax)?;
+            // raw_j = Σ_r (A_l x_j)_r·(B x_j)_r, accumulated row by row so
+            // each sample sums in the same order as the per-sample matvec
+            // path — the two engines agree to machine precision.
             scratch.raw.clear();
-            scratch.raw.resize(samples, C64::ZERO);
-            for i in 0..dim2 {
+            scratch.raw.resize(samples, 0.0);
+            for r in 0..m {
                 for ((acc, &a), &b) in scratch
                     .raw
                     .iter_mut()
-                    .zip(scratch.evolved.row(i))
-                    .zip(scratch.wp.row(i))
+                    .zip(scratch.ax.row(r))
+                    .zip(scratch.bx.row(r))
                 {
                     *acc += a * b;
                 }
@@ -1456,9 +1557,9 @@ impl ScoringEngine for DensityEngine {
         levels: &[usize],
     ) -> Result<Vec<Vec<f64>>, QuorumError> {
         // The batch: every sample's vec(ρ_in) as one matrix column,
-        // prepared in lockstep. The readout functional applies to the
-        // whole batch once (`W·P` is level-independent); each level then
-        // costs one superoperator GEMM plus column dot products.
+        // prepared in lockstep, then folded. The folded readout applies to
+        // the whole batch once (`B·X` is level-independent); each level
+        // then costs one real GEMM plus column dot products.
         Self::deviations_rows(
             group,
             config,
@@ -1495,14 +1596,16 @@ struct StructuredScratch {
 /// per-gate [`ChannelProgram`] over the panel
 /// ([`EnsembleGroup::channel_program`]), and the SWAP-test readout is
 /// folded into a bond-4 matrix-product sweep ([`SwapTestMpo`]). No
-/// `16^n` object is ever built or applied, so the per-(group, level)
-/// cost drops from `O(ops · 16^n) + O(16^n · S)` to `O(ops · 4^n · S)` —
-/// dense wins below ~5 data qubits (tiny `4^n`, one GEMM), structured
-/// wins at and above it and is the only density path past the dense
-/// width cap. The dense engine multiplies out these same objects, so the
-/// two agree to rounding (≤ 1e-9, `tests/engine_structured_properties`);
-/// what pins the lowering itself is `qsim::channel`'s gate-walk and
-/// forward-simulation tests and the circuit oracle.
+/// dense object is ever built or applied: the per-(group, level) cost is
+/// `O(ops · 4^n · S)` against the dense engine's `O(ops · 4^n · m)` build
+/// plus `2m²·S` GEMM (`m = d(d+1)/2`) — dense wins through n = 5,
+/// structured from n = 6, and it is the only density path past the dense
+/// width cap. The dense engine folds these same objects onto
+/// real-symmetric coordinates and this engine never folds, so the two
+/// agreeing to rounding (≤ 1e-9, `tests/engine_structured_properties`)
+/// also pins the fold; what pins the lowering itself is
+/// `qsim::channel`'s gate-walk and forward-simulation tests and the
+/// circuit oracle.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StructuredDensityEngine;
 
@@ -1589,7 +1692,7 @@ impl StructuredDensityEngine {
                 out[level].extend(raw.into_iter().enumerate().map(|(j, z)| {
                     finish_deviation(
                         readout,
-                        z,
+                        z.re,
                         shots,
                         config,
                         group.index(),
@@ -1656,11 +1759,14 @@ impl ScoringEngine for StructuredDensityEngine {
     }
 }
 
-/// The per-sample density oracle: PR 3's one-`4^n`-matvec-per-(sample,
-/// level) ordering — and the per-sample gate-walk state preparation —
-/// kept selectable (and benchmarked) as the reference the batched
+/// The per-sample density oracle: the one-matvec-per-(sample, level)
+/// ordering — and the per-sample gate-walk state preparation — kept
+/// selectable (and benchmarked) as the reference the batched
 /// [`DensityEngine`] is pinned against, the mixed-state analogue of
-/// [`AnalyticEngine`] vs [`BatchedAnalyticEngine`].
+/// [`AnalyticEngine`] vs [`BatchedAnalyticEngine`]. Each sample's
+/// prepared state is folded onto its real-symmetric coordinates and
+/// multiplied by the same cached folded operators and readout, one `m`-long
+/// matvec at a time, accumulating in the batched GEMM's order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SampleDensityEngine;
 
@@ -1739,14 +1845,16 @@ impl ScoringEngine for SampleDensityEngine {
             .collect();
         let mut values = Vec::with_capacity(group.features().len());
         let mut amps = vec![0.0_f64; 1usize << n];
+        let mut x = RMatrix::default();
         for (i, row) in normalized.rows().iter().enumerate() {
             group.features().project_into(row, &mut values);
             crate::embed::amplitudes_with_overflow_into(&values, n, &mut amps)?;
             let rho_in = noisy_prepared_state(&amps, n, ctx.gate_noise.as_ref())?;
-            let wb = ctx.w.mul_vec(rho_in.as_slice());
-            for (level, superop) in ctx.superops.iter().enumerate() {
-                let rho_a = superop.mul_vec(rho_in.as_slice());
-                let raw: C64 = rho_a.iter().zip(&wb).map(|(a, b)| *a * *b).sum();
+            gather_folded(rho_in.as_slice(), 1usize << n, 1, &mut x)?;
+            let bx = ctx.readout_form.mul_vec(x.as_slice());
+            for (level, op) in ctx.ops.iter().enumerate() {
+                let ax = op.mul_vec(x.as_slice());
+                let raw = ax.iter().zip(&bx).fold(0.0, |acc, (a, b)| acc + a * b);
                 out[level].push(ctx.finish(raw, shots, config, group.index(), levels[level], i));
             }
         }
@@ -2046,7 +2154,7 @@ mod tests {
     #[test]
     fn noisy_scoring_fuses_one_superop_per_level() {
         // The noisy-cache regression pin: a full group pass pays for
-        // exactly one superoperator fusion per compression level, across
+        // exactly one folded-operator build per compression level, across
         // any number of samples and repeated passes.
         let ds = tiny_dataset();
         let config = noisy_config(qsim::NoiseModel::brisbane(), None).with_seed(29);
@@ -2089,10 +2197,9 @@ mod tests {
 
     #[test]
     fn structured_matches_dense_density_engine() {
-        // The tentpole pin at unit-test granularity: the structured
-        // per-gate channel walk plus the MPO readout reproduces the
-        // dense fused-superoperator numbers on every sample, level and
-        // noise model where both paths run.
+        // The structured per-gate channel walk plus the MPO readout
+        // (complex, never folded) reproduces the dense folded numbers on
+        // every sample, level and noise model where both paths run.
         let ds = tiny_dataset();
         for noise in [
             qsim::NoiseModel::ideal(),
@@ -2144,7 +2251,7 @@ mod tests {
         assert_eq!(group.channel_program_fusions(), 2 * levels.len());
         let fresh = group.clone();
         assert_eq!(fresh.channel_program_fusions(), 0);
-        // The structured pass never touches the dense superoperator cache.
+        // The structured pass never touches the dense folded-operator cache.
         assert_eq!(group.noisy_superop_fusions(), 0);
     }
 

@@ -16,7 +16,7 @@ use crate::features::FeatureSelection;
 use qdata::Dataset;
 use qmetrics::stats;
 use qsim::channel::ChannelProgram;
-use qsim::matrix::CMatrix;
+use qsim::matrix::{CMatrix, RMatrix};
 use qsim::NoiseModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,12 +48,12 @@ impl Clone for EncoderCache {
     }
 }
 
-/// Bytes one group's superoperator cache may retain. Every level of
-/// the supported widths up to `n = 5` fits (a `4^n × 4^n` entry is
-/// ~1 MiB at n = 4, ~16 MiB at n = 5); the n = 6 extreme (~268 MiB
-/// per entry) is rebuilt per scoring pass instead of pinned, which
-/// keeps a wide multi-group ensemble from retaining hundreds of
-/// gigabytes.
+/// Bytes one group's folded-operator cache may retain. A folded
+/// operator is a real `m × m` matrix with `m = d(d+1)/2`: 10 KiB at
+/// n = 3, 145 KiB at n = 4, 2.1 MiB at n = 5, so every level of the
+/// supported widths up to `n = 5` fits; at the n = 6 extreme (33 MiB per
+/// entry) only one level fits and a multi-level pass rebuilds the rest,
+/// which keeps a wide multi-group ensemble from retaining gigabytes.
 const NOISY_SUPEROP_CACHE_BYTES: usize = 64 << 20;
 
 /// Bytes one group's program cache may retain — programs are a
@@ -62,12 +62,12 @@ const CHANNEL_PROGRAM_CACHE_BYTES: usize = 1 << 20;
 
 /// One randomized ensemble group: buckets, feature subset and ansatz.
 ///
-/// The three per-group caches — the fused encoder, the fused noisy
-/// superoperators and the lowered channel programs — live on the group
+/// The three per-group caches — the fused encoder, the folded noisy
+/// operators and the lowered channel programs — live on the group
 /// itself, so a **resident** group (the serving runtime keeps thawed
 /// groups alive for the process lifetime) amortises every fusion across
 /// all requests that score through it. The two keyed caches share the
-/// poison-recovering, oldest-first-evicting [`ByteBounded`] store.
+/// poison-recovering, oldest-first-evicting `ByteBounded` store.
 #[derive(Debug, Clone)]
 pub struct EnsembleGroup {
     index: usize,
@@ -75,7 +75,7 @@ pub struct EnsembleGroup {
     features: FeatureSelection,
     buckets: Vec<Vec<usize>>,
     encoder_cache: EncoderCache,
-    noisy_superop_cache: ByteBounded<(NoiseModel, usize), CMatrix>,
+    noisy_superop_cache: ByteBounded<(NoiseModel, usize), RMatrix>,
     channel_program_cache: ByteBounded<(NoiseModel, usize), ChannelProgram>,
 }
 
@@ -181,18 +181,13 @@ impl EnsembleGroup {
     }
 
     /// The group's bottlenecked autoencoder segment (encoder, `reset_count`
-    /// resets, decoder) fused into a `4^n × 4^n` noisy superoperator over
-    /// `vec(ρ)`, built at most once per `(noise model, compression level)`
-    /// and cached for the group's lifetime — a noisy scoring pass applies
-    /// the same matrix to the whole packed sample batch in one GEMM (or
-    /// per sample, through the per-sample oracle engine).
-    ///
-    /// The matrix is the segment's channel program (the object
-    /// [`EnsembleGroup::channel_program`] caches) multiplied out over the
-    /// identity panel ([`ChannelProgram::to_superop`]). The build lowers
-    /// the segment itself rather than reading the program cache, so
-    /// [`EnsembleGroup::noisy_superop_fusions`] and
-    /// [`EnsembleGroup::channel_program_fusions`] count independently.
+    /// resets, decoder) as a complex `4^n × 4^n` noisy superoperator over
+    /// `vec(ρ)`: the segment's channel program multiplied out over the
+    /// identity panel ([`ChannelProgram::to_superop`]). Built on every
+    /// call and never cached, and not counted by
+    /// [`EnsembleGroup::noisy_superop_fusions`]: no scoring path reads
+    /// it. The trace-preservation tests and the benchmark's kernel probes
+    /// do; scoring multiplies by [`EnsembleGroup::folded_noisy_superop`].
     ///
     /// # Errors
     ///
@@ -203,28 +198,49 @@ impl EnsembleGroup {
         noise: &NoiseModel,
         reset_count: usize,
     ) -> Result<Arc<CMatrix>, QuorumError> {
-        self.fused_noisy_superop_bounded(noise, reset_count, NOISY_SUPEROP_CACHE_BYTES)
+        engine::build_noisy_superop(&self.ansatz, noise, reset_count).map(Arc::new)
     }
 
-    /// [`EnsembleGroup::fused_noisy_superop`] with an explicit byte
+    /// The segment folded onto real-symmetric coordinates: the real
+    /// `m × m` operator (`m = d(d+1)/2`) the dense density engines
+    /// multiply the folded sample panel by
+    /// ([`ChannelProgram::to_folded_superop`]), built at most once per
+    /// `(noise model, compression level)` and cached for the group's
+    /// lifetime. The build lowers the segment itself rather than reading
+    /// the program cache, so [`EnsembleGroup::noisy_superop_fusions`]
+    /// and [`EnsembleGroup::channel_program_fusions`] count
+    /// independently.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`crate::engine`] lowering failures (effectively
+    /// infallible for valid ansätze).
+    pub fn folded_noisy_superop(
+        &self,
+        noise: &NoiseModel,
+        reset_count: usize,
+    ) -> Result<Arc<RMatrix>, QuorumError> {
+        self.folded_noisy_superop_bounded(noise, reset_count, NOISY_SUPEROP_CACHE_BYTES)
+    }
+
+    /// [`EnsembleGroup::folded_noisy_superop`] with an explicit byte
     /// budget, so the eviction-policy regression tests can overflow the
-    /// cache without building gigabytes of superoperators. The fusion
-    /// happens **outside** the cache lock — concurrent scorers of the
-    /// same group never serialise behind a multi-ms build (racing
-    /// duplicates are counted and the first insert wins) — and an
-    /// overflowing insert evicts oldest-first, never the hot entries.
-    pub(crate) fn fused_noisy_superop_bounded(
+    /// cache cheaply. The build happens **outside** the cache lock —
+    /// concurrent scorers of the same group never serialise behind a
+    /// multi-ms build (racing duplicates are counted and the first insert
+    /// wins) — and an overflowing insert evicts oldest-first, never the
+    /// hot entries.
+    pub(crate) fn folded_noisy_superop_bounded(
         &self,
         noise: &NoiseModel,
         reset_count: usize,
         budget: usize,
-    ) -> Result<Arc<CMatrix>, QuorumError> {
-        let superop_bytes = |m: &CMatrix| m.rows() * m.cols() * std::mem::size_of::<qsim::C64>();
+    ) -> Result<Arc<RMatrix>, QuorumError> {
         self.noisy_superop_cache.get_or_try_build(
             &(noise.clone(), reset_count),
             budget,
-            superop_bytes,
-            || engine::build_noisy_superop(&self.ansatz, noise, reset_count),
+            |m: &RMatrix| std::mem::size_of_val(m.as_slice()),
+            || engine::build_folded_superop(&self.ansatz, noise, reset_count),
         )
     }
 
@@ -232,8 +248,8 @@ impl EnsembleGroup {
     /// structured per-gate [`ChannelProgram`], built at most once per
     /// `(noise model, compression level)` and cached for the group's
     /// lifetime — the structured density engine's `O(gates)` analogue of
-    /// [`EnsembleGroup::fused_noisy_superop`], applied op by op over the
-    /// whole packed panel instead of as one `16^n` GEMM.
+    /// [`EnsembleGroup::folded_noisy_superop`], applied op by op over the
+    /// whole packed panel instead of as one dense GEMM.
     ///
     /// # Errors
     ///
@@ -276,12 +292,13 @@ impl EnsembleGroup {
         self.channel_program_cache.builds()
     }
 
-    /// How many noisy superoperators this group actually fused — the
-    /// observable behind the density engine's cache regression tests.
-    /// Stays at the number of distinct `(noise model, compression level)`
-    /// pairs scored — however many samples and passes ran — as long as the
-    /// entries fit the cache's byte bound (always true at the paper's
-    /// widths; only the n = 6 extreme re-fuses per pass). Like
+    /// How many folded noisy operators this group actually built
+    /// ([`EnsembleGroup::folded_noisy_superop`]) — the observable behind
+    /// the density engine's cache regression tests. Stays at the number
+    /// of distinct `(noise model, compression level)` pairs scored —
+    /// however many samples and passes ran — as long as the entries fit
+    /// the cache's byte bound (always true up to n = 5; at n = 6 only one
+    /// level fits). Like
     /// [`EnsembleGroup::channel_program_fusions`], racing builders each
     /// count.
     pub fn noisy_superop_fusions(&self) -> usize {
@@ -568,8 +585,9 @@ mod tests {
 
     #[test]
     fn superop_overflow_evicts_oldest_and_spares_the_hot_entry() {
-        // The eviction-policy pin: an n = 3 superoperator is
-        // 64·64·16 B = 64 KiB, so a 150 KB budget holds two entries.
+        // The eviction-policy pin: an n = 3 folded operator is
+        // 36·36·8 B = 10368 B, so a 25 KB budget holds two entries, not
+        // three.
         // Fill with (brisbane, 1) and (brisbane, 2), touch level 1 to
         // make it hot, then overflow with a third model: level 2 (the
         // oldest) must be the only casualty.
@@ -577,25 +595,25 @@ mod tests {
         let cfg = config();
         let plan = BucketPlan::from_target(ds.num_samples(), 0.1, cfg.bucket_probability);
         let group = EnsembleGroup::generate(0, &cfg, ds.num_features(), &plan);
-        let budget = 150_000;
+        let budget = 25_000;
         let brisbane = NoiseModel::brisbane();
         let scaled = NoiseModel::brisbane().scaled(2.0);
         group
-            .fused_noisy_superop_bounded(&brisbane, 1, budget)
+            .folded_noisy_superop_bounded(&brisbane, 1, budget)
             .unwrap();
         group
-            .fused_noisy_superop_bounded(&brisbane, 2, budget)
+            .folded_noisy_superop_bounded(&brisbane, 2, budget)
             .unwrap();
         assert_eq!(group.noisy_superop_fusions(), 2);
         group
-            .fused_noisy_superop_bounded(&brisbane, 1, budget)
+            .folded_noisy_superop_bounded(&brisbane, 1, budget)
             .unwrap();
         group
-            .fused_noisy_superop_bounded(&scaled, 1, budget)
+            .folded_noisy_superop_bounded(&scaled, 1, budget)
             .unwrap();
         assert_eq!(group.noisy_superop_fusions(), 3);
         group
-            .fused_noisy_superop_bounded(&brisbane, 1, budget)
+            .folded_noisy_superop_bounded(&brisbane, 1, budget)
             .unwrap();
         assert_eq!(
             group.noisy_superop_fusions(),
@@ -603,7 +621,7 @@ mod tests {
             "the hot (brisbane, 1) entry must survive the overflow insert"
         );
         group
-            .fused_noisy_superop_bounded(&brisbane, 2, budget)
+            .folded_noisy_superop_bounded(&brisbane, 2, budget)
             .unwrap();
         assert_eq!(
             group.noisy_superop_fusions(),

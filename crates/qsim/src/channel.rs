@@ -17,15 +17,22 @@
 //! lowered CSWAP channels with bond dimension 4 (the ancilla's operator
 //! space), so `Y = W · P` is computed as an `O(n · 4^n · S)` sweep.
 //!
-//! Where a dense `4^n × 4^n` object pays (small registers, where one GEMM
-//! beats a walk of lane kernels), it is the same lowering multiplied out
-//! over the identity panel: [`ChannelProgram::to_superop`] and
-//! [`SwapTestMpo::to_functional`]. The oracles sit outside this module's
-//! production path: the program is pinned against the per-gate
-//! [`DensityMatrix`] walk and the MPO against a forward simulation of the
-//! full `2n + 1`-qubit SWAP-test network (this module's tests), and the
-//! scoring engines built on both against the paper-literal circuit
-//! simulation.
+//! Where a dense object pays (small registers, where one GEMM beats a
+//! walk of lane kernels), it is the same lowering multiplied out over a
+//! basis panel. [`ChannelProgram::to_superop`] gives the complex
+//! `4^n × 4^n` superoperator over the identity panel. The scoring
+//! engines use the **folded** forms instead: real amplitude preparation
+//! under real channels leaves every input state real symmetric, so a
+//! state is its `m = d(d+1)/2` upper-triangle entries ([`folded_dim`],
+//! [`folded_rows`]). [`ChannelProgram::to_folded_superop`] and
+//! [`SwapTestMpo::to_folded_functional`] run the program and the MPO on
+//! the `m` real-symmetric basis panels and keep only what a real
+//! readout sees, giving real `m × m` matrices. The oracles sit outside
+//! this module's production path: the program is pinned against the
+//! per-gate [`DensityMatrix`] walk and the MPO against a forward
+//! simulation of the full `2n + 1`-qubit SWAP-test network (this
+//! module's tests), and the scoring engines built on both against the
+//! paper-literal circuit simulation.
 
 use crate::circuit::{Circuit, Operation};
 use crate::complex::C64;
@@ -36,7 +43,7 @@ use crate::density::{
 };
 use crate::error::QsimError;
 use crate::gate::Gate;
-use crate::matrix::CMatrix;
+use crate::matrix::{CMatrix, RMatrix};
 use crate::simulator::GateNoise;
 use crate::transpile;
 
@@ -368,11 +375,30 @@ impl ChannelProgram {
             self.apply_panel(block, width);
         })
     }
+
+    /// The program folded onto real-symmetric coordinates: the real
+    /// `m × m` operator `A` (`m = d(d+1)/2`, [`folded_dim`]) whose column
+    /// `(cd)` is `Re` of the upper triangle of the program's image of the
+    /// basis panel `E_cd + E_dc` (`E_cc` on the diagonal) — so row `(ab)`,
+    /// column `(cd)` is `Re(S[ab,cd] + S[ab,dc])`, or `Re S[ab,cc]`. For a
+    /// real symmetric `ρ` with folded coordinates `x` ([`folded_rows`]),
+    /// `A x` is `Re` of the output's upper triangle. No `16^n` object is
+    /// built.
+    pub fn to_folded_superop(&self) -> RMatrix {
+        materialise_folded(
+            1usize << self.num_qubits,
+            FoldRows::Upper,
+            |block, width| {
+                self.apply_panel(block, width);
+            },
+        )
+    }
 }
 
-/// Bytes of identity panel [`materialise`] pushes through a map at a
-/// time — small enough to stay cache-resident and to keep the MPO's four
-/// bond panels far below the size of the matrix being built.
+/// Bytes of basis panel [`materialise`] and [`materialise_folded`] push
+/// through a map at a time — small enough to stay cache-resident and to
+/// keep the MPO's four bond panels far below the size of the matrix
+/// being built.
 const MATERIALISE_BLOCK_BYTES: usize = 1 << 20;
 
 /// Materialises a column-wise linear map on `dim2 × samples` vec(ρ)
@@ -393,6 +419,78 @@ fn materialise(dim2: usize, mut apply: impl FnMut(&mut [C64], usize)) -> CMatrix
         apply(&mut block, w);
         for (i, image) in block.chunks_exact(w).enumerate() {
             out.as_mut_slice()[i * dim2 + c0..][..w].copy_from_slice(image);
+        }
+    }
+    out
+}
+
+/// The number of real-symmetric coordinates of a `dim × dim` density
+/// matrix: its `dim(dim + 1)/2` upper-triangle entries `ρ_ab`, `a ≤ b`.
+pub fn folded_dim(dim: usize) -> usize {
+    dim * (dim + 1) / 2
+}
+
+/// The row-major vec(ρ) index `a·dim + b` of each real-symmetric
+/// coordinate, in coordinate order: the upper triangle (`a ≤ b`) row by
+/// row. A real symmetric `ρ` is `Σ_r x_r u_r` over the basis
+/// `u_(aa) = E_aa`, `u_(ab) = E_ab + E_ba`, with `x_r` the `ρ` entry at
+/// the index yielded `r`-th.
+pub fn folded_rows(dim: usize) -> impl Iterator<Item = usize> {
+    (0..dim).flat_map(move |a| (a..dim).map(move |b| a * dim + b))
+}
+
+/// How [`materialise_folded`] reads an image back into folded rows.
+#[derive(Clone, Copy)]
+enum FoldRows {
+    /// `Re` of the `(ab)` entry: the image's own folded coordinates (a
+    /// channel maps symmetric inputs to Hermitian outputs).
+    Upper,
+    /// `Re` of the `(ab)` and `(ba)` entries summed: the covector that
+    /// pairs with a folded state (`Σ_i y_i ρ_i = Σ_r (y_ab + y_ba) x_r`).
+    PairSum,
+}
+
+/// Materialises a column-wise linear map on `d² × samples` vec(ρ) panels
+/// as a real `m × m` matrix over real-symmetric coordinates
+/// (`m = d(d+1)/2`): the map is applied to the basis panels `u_r` of
+/// [`folded_rows`], block by block like [`materialise`], and each image
+/// is read back through `rows`.
+fn materialise_folded(
+    dim: usize,
+    rows: FoldRows,
+    mut apply: impl FnMut(&mut [C64], usize),
+) -> RMatrix {
+    let dim2 = dim * dim;
+    let m = folded_dim(dim);
+    let coords: Vec<(usize, usize)> = folded_rows(dim).map(|i| (i / dim, i % dim)).collect();
+    let width = (MATERIALISE_BLOCK_BYTES / (dim2 * std::mem::size_of::<C64>())).clamp(1, m);
+    let mut out = RMatrix::zeros(m, m);
+    let mut block = Vec::with_capacity(dim2 * width);
+    for c0 in (0..m).step_by(width) {
+        let w = width.min(m - c0);
+        block.clear();
+        block.resize(dim2 * w, C64::ZERO);
+        for (k, &(c, d)) in coords[c0..c0 + w].iter().enumerate() {
+            block[(c * dim + d) * w + k] = C64::ONE;
+            block[(d * dim + c) * w + k] = C64::ONE;
+        }
+        apply(&mut block, w);
+        for (r, &(a, b)) in coords.iter().enumerate() {
+            let dst = &mut out.as_mut_slice()[r * m + c0..][..w];
+            let upper = &block[(a * dim + b) * w..][..w];
+            match rows {
+                FoldRows::PairSum if a != b => {
+                    let lower = &block[(b * dim + a) * w..][..w];
+                    for ((o, u), l) in dst.iter_mut().zip(upper).zip(lower) {
+                        *o = u.re + l.re;
+                    }
+                }
+                _ => {
+                    for (o, u) in dst.iter_mut().zip(upper) {
+                        *o = u.re;
+                    }
+                }
+            }
         }
     }
     out
@@ -578,17 +676,43 @@ impl SwapTestMpo {
         }
     }
 
-    /// The dense `4^n × 4^n` readout functional `W`, with
-    /// `P(ancilla = 1) = vec(ρ_A)ᵀ · W · vec(ρ_B)` before readout
-    /// confusion: [`SwapTestMpo::apply_panel`] run on the identity panel.
-    /// Scratch stays at a few MiB beside `W` itself.
-    pub fn to_functional(&self) -> CMatrix {
+    /// The readout folded onto real-symmetric coordinates: the real
+    /// `m × m` form `B` (`m = d(d+1)/2`, [`folded_dim`]) with
+    /// `P(ancilla = 1) = Σ_r x_A,r · (B x_B)_r` before readout confusion,
+    /// for real symmetric `ρ_A`, `ρ_B` with folded coordinates `x_A`,
+    /// `x_B` ([`folded_rows`]). [`SwapTestMpo::apply_panel`] is run on the
+    /// `m` real-symmetric basis panels `E_cc`, `E_cd + E_dc`, and `Re` of
+    /// each image's `(ab)` and `(ba)` rows is summed — `Re W` folded over
+    /// rows and columns, without ever holding the `16^n` functional.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QsimError::Unsupported`] when the images are not real
+    /// (max `|Im|` above `1e-12 ·` max `|·|`): dropping `Im(Wρ_B)` is
+    /// exact only for a real functional.
+    pub fn to_folded_functional(&self) -> Result<RMatrix, QsimError> {
         let mut image = Vec::new();
-        materialise(1usize << (2 * self.num_qubits), |block, width| {
-            image.resize(block.len(), C64::ZERO);
-            self.apply_panel(block, width, &mut image);
-            block.copy_from_slice(&image);
-        })
+        let (mut max_im, mut max_abs) = (0.0_f64, 0.0_f64);
+        let folded = materialise_folded(
+            1usize << self.num_qubits,
+            FoldRows::PairSum,
+            |block, width| {
+                image.resize(block.len(), C64::ZERO);
+                self.apply_panel(block, width, &mut image);
+                for z in &image {
+                    max_im = max_im.max(z.im.abs());
+                    max_abs = max_abs.max(z.abs());
+                }
+                block.copy_from_slice(&image);
+            },
+        );
+        if max_im > 1e-12 * max_abs {
+            return Err(QsimError::Unsupported(format!(
+                "the SWAP-test readout is not real (max |Im| {max_im:e} against max |W| \
+                 {max_abs:e}); it cannot be folded onto real-symmetric coordinates"
+            )));
+        }
+        Ok(folded)
     }
 }
 
@@ -642,6 +766,32 @@ mod tests {
             }
         }
         rho
+    }
+
+    /// Deterministic trace-1 real symmetric PSD matrix — the kind of
+    /// state real amplitude preparation under real channels produces.
+    fn test_real_state(num_qubits: usize, salt: u64) -> CMatrix {
+        let dim = 1usize << num_qubits;
+        let mut a = CMatrix::zeros(dim, dim);
+        for i in 0..dim {
+            for j in 0..dim {
+                let t = (i * dim + j) as f64 + salt as f64 * 0.61;
+                a[(i, j)] = C64::from_real((t * 0.917).sin() + 0.3 * (t * 1.271).cos());
+            }
+        }
+        let mut rho = &a.dagger() * &a;
+        let tr: f64 = (0..dim).map(|i| rho[(i, i)].re).sum();
+        for z in rho.as_mut_slice() {
+            *z = z.scale(1.0 / tr);
+        }
+        rho
+    }
+
+    /// The folded coordinates of a real symmetric state.
+    fn fold(rho: &CMatrix) -> Vec<f64> {
+        folded_rows(rho.rows())
+            .map(|idx| rho.as_slice()[idx].re)
+            .collect()
     }
 
     /// A lowered noisy autoencoder-like segment for tests.
@@ -715,6 +865,39 @@ mod tests {
                 program.apply_panel(&mut panel, samples);
                 let superop = program.to_superop();
                 assert_eq!((superop.rows(), superop.cols()), (dim * dim, dim * dim));
+
+                // Folded onto real-symmetric coordinates, the operator
+                // gives Re of the superoperator image's upper triangle on
+                // real symmetric states, and every basis column keeps its
+                // trace (1 for E_cc, 0 for E_cd + E_dc).
+                let folded = program.to_folded_superop();
+                let m = folded_dim(dim);
+                assert_eq!((folded.rows(), folded.cols()), (m, m));
+                for salt in 0..3 {
+                    let s = test_real_state(n, 20 + salt);
+                    let image = superop.mul_vec(s.as_slice());
+                    let got = folded.mul_vec(&fold(&s));
+                    for (r, idx) in folded_rows(dim).enumerate() {
+                        assert!(
+                            (got[r] - image[idx].re).abs() < TOL,
+                            "n={n} folded row {r}: {} vs {}",
+                            got[r],
+                            image[idx].re
+                        );
+                    }
+                }
+                for (col, cd) in folded_rows(dim).enumerate() {
+                    let trace: f64 = folded_rows(dim)
+                        .enumerate()
+                        .filter(|&(_, idx)| idx % (dim + 1) == 0)
+                        .map(|(r, _)| folded[(r, col)])
+                        .sum();
+                    let expected = if cd % (dim + 1) == 0 { 1.0 } else { 0.0 };
+                    assert!(
+                        (trace - expected).abs() < TOL,
+                        "n={n} folded column {col} trace {trace}"
+                    );
+                }
 
                 for (j, s) in states.iter().enumerate() {
                     let mut rho = DensityMatrix::from_cmatrix(s).unwrap();
@@ -928,18 +1111,18 @@ mod tests {
                     (raw.re - expect).abs() < 1e-9 && raw.im.abs() < 1e-9,
                     "n={n}: MPO readout {raw} vs forward {expect}"
                 );
-                // The multiplied-out functional: vec(ρ_A)ᵀ · W · vec(ρ_B).
-                let w = mpo.to_functional();
-                assert_eq!((w.rows(), w.cols()), (dim2, dim2));
-                let dense: C64 = rho_a
-                    .as_slice()
-                    .iter()
-                    .zip(w.mul_vec(&vec_b))
-                    .map(|(&a, wb)| a * wb)
-                    .sum();
+                // The folded readout on real symmetric states:
+                // Σ_r x_A,r · (B x_B)_r.
+                let folded = mpo.to_folded_functional().unwrap();
+                let m = folded_dim(sub);
+                assert_eq!((folded.rows(), folded.cols()), (m, m));
+                let (real_a, real_b) = (test_real_state(n, 5), test_real_state(n, 13));
+                let bx = folded.mul_vec(&fold(&real_b));
+                let dense: f64 = fold(&real_a).iter().zip(&bx).map(|(a, b)| a * b).sum();
+                let expect = swap_test_forward(n, &real_a, &real_b, &gate_noise);
                 assert!(
-                    (dense.re - expect).abs() < TOL && dense.im.abs() < TOL,
-                    "n={n}: dense functional {dense} vs forward {expect}"
+                    (dense - expect).abs() < TOL,
+                    "n={n}: folded functional {dense} vs forward {expect}"
                 );
             }
         }

@@ -33,6 +33,25 @@
 //!    contracts the multiply–add rounding step, so this path is not
 //!    bit-identical to the oracle; property suites pin it to ≤ 1e-12.
 //!
+//! The dense density engines score in real-symmetric coordinates, so the
+//! module also carries a **real** panel GEMM — the rung behind
+//! [`RMatrix::matmul_threaded_into`](crate::matrix::RMatrix::matmul_threaded_into):
+//!
+//! 1. **Real scalar oracle** ([`rmul_panel_scalar`]): every element the
+//!    chain `acc = acc + a·b` over `k = 0, 1, …` from `0.0`.
+//! 2. **Real tile body** ([`rmul_panel_into`]): 4 rows × 8 columns of
+//!    register tiles over an L1-resident packed stripe of `B`, one safe
+//!    body compiled at the baseline and recompiled at the AVX and
+//!    AVX-512 rungs, mul then add — bit-equal to the oracle.
+//! 3. **Real FMA** (`--features simd`): the same body with `mul_add`,
+//!    compiled under `target_feature(enable = "avx2,fma")` — no
+//!    intrinsics; ≤ 1e-12 from the oracle.
+//!
+//! Its contract is stronger than the complex kernel's: whichever tile,
+//! lane or remainder path computes an output element, it runs the same
+//! `k`-ordered chain, so a column's bits never depend on panel width,
+//! column position or thread count, in FMA builds too.
+//!
 //! The repack buffers live in a [`PanelScratch`] owned by the caller:
 //! `matmul_threaded` hands each worker thread one scratch for its whole
 //! panel stream (via [`crate::parallel::map_indexed_with`]), and the
@@ -598,6 +617,239 @@ unsafe fn tile_rows_avx2(
             *out.get_unchecked_mut(r * width + j) = C64::new(acc_re, acc_im);
         }
         j += 1;
+    }
+}
+
+/// Output column lanes per real register tile: two 256-bit vectors of
+/// `f64`, so a [`TILE_ROWS`] × 8 tile keeps its 32 partial sums in eight
+/// AVX registers.
+const RLANES: usize = 8;
+
+/// One step of the real kernels' per-element chain: `acc + a·b`, or with
+/// `FMA` the single-rounding `a·b + acc`. Every real path — tile lanes,
+/// remainder rows and remainder columns alike — goes through this, so an
+/// output element's bits never depend on where in a panel it sits.
+#[inline(always)]
+fn rmadd<const FMA: bool>(acc: f64, a: f64, b: f64) -> f64 {
+    if FMA {
+        a.mul_add(b, acc)
+    } else {
+        acc + a * b
+    }
+}
+
+/// The real scalar oracle: the row-major `a_rows × (c1 − c0)` block of
+/// `A·B` covering output columns `c0..c1`, every element the chain
+/// `acc = 0; acc = acc + A[i,k]·B[k,j]` for `k = 0, 1, …` — the bit-exact
+/// reference the dispatching real kernel ([`rmul_panel_into`]) is pinned
+/// against.
+pub fn rmul_panel_scalar(
+    a: &[f64],
+    a_rows: usize,
+    a_cols: usize,
+    b: &[f64],
+    b_cols: usize,
+    c0: usize,
+    c1: usize,
+) -> Vec<f64> {
+    let width = c1 - c0;
+    let mut panel = vec![0.0; a_rows * width];
+    for i in 0..a_rows {
+        let out_row = &mut panel[i * width..(i + 1) * width];
+        for (k, &av) in a[i * a_cols..(i + 1) * a_cols].iter().enumerate() {
+            let b_row = &b[k * b_cols + c0..k * b_cols + c1];
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+    panel
+}
+
+/// The dispatching real panel kernel: the row-major `a_rows × (c1 − c0)`
+/// block of `A·B` covering output columns `c0..c1`, written into `panel`
+/// (cleared and refilled; capacity reused). Each 8-column stripe of `B`
+/// is packed `k`-major into the scratch's first buffer before its row
+/// tiles run, so the reduction streams contiguous memory however wide
+/// `B` is. One safe tile body serves every rung: compiled
+/// at the baseline target, recompiled for AVX and AVX-512 (all
+/// bit-identical to [`rmul_panel_scalar`]), and under `--features simd`
+/// recompiled for AVX2/FMA with the fused chain, which stays within
+/// 1e-12 of the oracle but is still one fixed `k`-ordered chain per
+/// element, so column values never depend on panel width, column
+/// position or thread count.
+#[allow(clippy::too_many_arguments)] // flat BLAS-style kernel signature
+pub fn rmul_panel_into(
+    a: &[f64],
+    a_rows: usize,
+    a_cols: usize,
+    b: &[f64],
+    b_cols: usize,
+    c0: usize,
+    c1: usize,
+    scratch: &mut PanelScratch,
+    panel: &mut Vec<f64>,
+) {
+    let width = c1 - c0;
+    panel.clear();
+    panel.resize(a_rows * width, 0.0);
+    let stripe = &mut scratch.b_re;
+    stripe.resize(a_cols * RLANES, 0.0);
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if simd_active() {
+        // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
+        unsafe { rtile_fma(a, a_rows, a_cols, b, b_cols, c0, stripe, panel) };
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx512_autovec_active() {
+        // SAFETY: AVX-512 support verified at runtime; the body is the
+        // same safe Rust as the baseline rung.
+        unsafe { rtile_avx512(a, a_rows, a_cols, b, b_cols, c0, stripe, panel) };
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx_autovec_active() {
+        // SAFETY: AVX support verified at runtime; same safe body.
+        unsafe { rtile_avx(a, a_rows, a_cols, b, b_cols, c0, stripe, panel) };
+        return;
+    }
+    rtile_body::<false>(a, a_rows, a_cols, b, b_cols, c0, stripe, panel);
+}
+
+/// [`rtile_body`] recompiled with 256-bit AVX vectors enabled.
+///
+/// # Safety
+///
+/// The caller must have verified AVX support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)] // flat BLAS-style kernel signature
+unsafe fn rtile_avx(
+    a: &[f64],
+    a_rows: usize,
+    a_cols: usize,
+    b: &[f64],
+    b_cols: usize,
+    c0: usize,
+    stripe: &mut [f64],
+    out: &mut [f64],
+) {
+    rtile_body::<false>(a, a_rows, a_cols, b, b_cols, c0, stripe, out);
+}
+
+/// [`rtile_body`] recompiled with 512-bit AVX-512 vectors enabled.
+///
+/// # Safety
+///
+/// The caller must have verified AVX-512 (F + VL + DQ) support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx512vl", enable = "avx512dq")]
+#[allow(clippy::too_many_arguments)] // flat BLAS-style kernel signature
+unsafe fn rtile_avx512(
+    a: &[f64],
+    a_rows: usize,
+    a_cols: usize,
+    b: &[f64],
+    b_cols: usize,
+    c0: usize,
+    stripe: &mut [f64],
+    out: &mut [f64],
+) {
+    rtile_body::<false>(a, a_rows, a_cols, b, b_cols, c0, stripe, out);
+}
+
+/// [`rtile_body`] with the fused chain, compiled for AVX2/FMA so
+/// `mul_add` lowers to vector FMAs — no intrinsics needed.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 + FMA support at runtime.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)] // flat BLAS-style kernel signature
+unsafe fn rtile_fma(
+    a: &[f64],
+    a_rows: usize,
+    a_cols: usize,
+    b: &[f64],
+    b_cols: usize,
+    c0: usize,
+    stripe: &mut [f64],
+    out: &mut [f64],
+) {
+    rtile_body::<true>(a, a_rows, a_cols, b, b_cols, c0, stripe, out);
+}
+
+/// The real tile walk: 8-column stripes outer — each packed `k`-major
+/// into `stripe` (`a_cols × 8` doubles, L1-resident across every row
+/// tile) — then [`TILE_ROWS`]-row tiles with the `k` reduction innermost
+/// and the 32 partial sums in registers; leftover rows and columns run
+/// the same chain one element at a time.
+#[allow(clippy::too_many_arguments)] // flat BLAS-style kernel signature
+#[inline(always)]
+fn rtile_body<const FMA: bool>(
+    a: &[f64],
+    a_rows: usize,
+    a_cols: usize,
+    b: &[f64],
+    b_cols: usize,
+    c0: usize,
+    stripe: &mut [f64],
+    out: &mut [f64],
+) {
+    let width = out.len().checked_div(a_rows).unwrap_or(0);
+    let mut j = 0;
+    while j + RLANES <= width {
+        for (k, dst) in stripe.chunks_exact_mut(RLANES).enumerate() {
+            dst.copy_from_slice(&b[k * b_cols + c0 + j..][..RLANES]);
+        }
+        let lanes = |k: usize| -> &[f64; RLANES] {
+            stripe[k * RLANES..(k + 1) * RLANES]
+                .try_into()
+                .expect("stripe rows are exactly RLANES wide")
+        };
+        let mut i = 0;
+        while i + TILE_ROWS <= a_rows {
+            let rows = &a[i * a_cols..(i + TILE_ROWS) * a_cols];
+            let (a0, rest) = rows.split_at(a_cols);
+            let (a1, rest) = rest.split_at(a_cols);
+            let (a2, a3) = rest.split_at(a_cols);
+            let mut acc = [[0.0_f64; RLANES]; TILE_ROWS];
+            for k in 0..a_cols {
+                let bk = lanes(k);
+                let av = [a0[k], a1[k], a2[k], a3[k]];
+                for (acc_r, &ar) in acc.iter_mut().zip(&av) {
+                    for (o, &bv) in acc_r.iter_mut().zip(bk) {
+                        *o = rmadd::<FMA>(*o, ar, bv);
+                    }
+                }
+            }
+            for (r, acc_r) in acc.iter().enumerate() {
+                out[(i + r) * width + j..][..RLANES].copy_from_slice(acc_r);
+            }
+            i += TILE_ROWS;
+        }
+        while i < a_rows {
+            let mut acc = [0.0_f64; RLANES];
+            for (k, &ar) in a[i * a_cols..(i + 1) * a_cols].iter().enumerate() {
+                for (o, &bv) in acc.iter_mut().zip(lanes(k)) {
+                    *o = rmadd::<FMA>(*o, ar, bv);
+                }
+            }
+            out[i * width + j..][..RLANES].copy_from_slice(&acc);
+            i += 1;
+        }
+        j += RLANES;
+    }
+    for j in j..width {
+        for i in 0..a_rows {
+            let mut acc = 0.0_f64;
+            for (k, &ar) in a[i * a_cols..(i + 1) * a_cols].iter().enumerate() {
+                acc = rmadd::<FMA>(acc, ar, b[k * b_cols + c0 + j]);
+            }
+            out[i * width + j] = acc;
+        }
     }
 }
 

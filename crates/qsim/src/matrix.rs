@@ -12,7 +12,9 @@
 //! optional runtime-dispatched AVX2/FMA path (`--features simd`), pinned
 //! against the scalar oracle kept on [`CMatrix::matmul_scalar`].
 //! Single-state evolution uses specialised kernels in
-//! [`crate::statevector`] and [`crate::density`].
+//! [`crate::statevector`] and [`crate::density`]. [`RMatrix`] is the real
+//! counterpart: the dense density engines score folded (real-symmetric)
+//! states with it, through the kernel module's real panel GEMM.
 
 use crate::complex::C64;
 use crate::error::QsimError;
@@ -542,6 +544,168 @@ impl Sub for &CMatrix {
                 .map(|(a, b)| *a - *b)
                 .collect(),
         }
+    }
+}
+
+/// A dense, row-major real matrix — the operand type of the real panel
+/// GEMM ([`kernel::rmul_panel_into`]). The dense density engines score in
+/// real-symmetric coordinates, so their cached operators and sample
+/// panels are real.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct RMatrix {
+    rows: usize,
+    cols: usize,
+    data: Vec<f64>,
+}
+
+impl RMatrix {
+    /// Creates a `rows × cols` matrix of zeros.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        RMatrix {
+            rows,
+            cols,
+            data: vec![0.0; rows * cols],
+        }
+    }
+
+    /// Reshapes to `rows × cols` with every entry zero, reusing the
+    /// backing allocation when its capacity suffices.
+    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Immutable view of the row-major backing storage.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Mutable view of the row-major backing storage.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
+    /// Immutable view of row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.rows()`.
+    pub fn row(&self, i: usize) -> &[f64] {
+        assert!(i < self.rows, "row index out of range");
+        &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Matrix–vector product `A·v`, each entry the same `k`-ordered
+    /// `acc + a·v` chain as the real scalar oracle
+    /// ([`kernel::rmul_panel_scalar`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != self.cols()`.
+    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
+        assert_eq!(v.len(), self.cols, "vector length must match columns");
+        (0..self.rows)
+            .map(|i| {
+                self.row(i)
+                    .iter()
+                    .zip(v)
+                    .fold(0.0, |acc, (a, x)| acc + a * x)
+            })
+            .collect()
+    }
+
+    /// `A·B` through the real panel kernel, written into a caller-owned
+    /// output (reshaped to `self.rows() × rhs.cols()`, storage reused).
+    /// Mirrors [`CMatrix::matmul_threaded_into`]: one full-width panel
+    /// when sequential, fixed [`GEMM_COL_BLOCK`]-wide panels fanned over
+    /// up to `threads` workers otherwise. Every output element is one
+    /// fixed `k`-ordered chain (see [`kernel::rmul_panel_into`]), so
+    /// results are bit-identical for every thread count and panel width.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QsimError::DimensionMismatch`] when
+    /// `self.cols() != rhs.rows()`; `out` is untouched on error.
+    pub fn matmul_threaded_into(
+        &self,
+        rhs: &RMatrix,
+        threads: usize,
+        out: &mut RMatrix,
+    ) -> Result<(), QsimError> {
+        if self.cols != rhs.rows {
+            return Err(QsimError::DimensionMismatch {
+                expected: self.cols,
+                actual: rhs.rows,
+            });
+        }
+        if rhs.cols == 0 || self.rows == 0 || threads <= 1 {
+            out.rows = self.rows;
+            out.cols = rhs.cols;
+            SEQ_SCRATCH.with(|scratch| {
+                let mut scratch = scratch.borrow_mut();
+                kernel::rmul_panel_into(
+                    &self.data,
+                    self.rows,
+                    self.cols,
+                    &rhs.data,
+                    rhs.cols,
+                    0,
+                    rhs.cols,
+                    &mut scratch,
+                    &mut out.data,
+                );
+                scratch.trim();
+            });
+            return Ok(());
+        }
+        out.resize_zeroed(self.rows, rhs.cols);
+        let num_panels = rhs.cols.div_ceil(GEMM_COL_BLOCK);
+        let panels =
+            crate::parallel::map_indexed_with(num_panels, threads, PanelScratch::new, |s, p| {
+                let c0 = p * GEMM_COL_BLOCK;
+                let c1 = (c0 + GEMM_COL_BLOCK).min(rhs.cols);
+                let mut panel = Vec::new();
+                kernel::rmul_panel_into(
+                    &self.data, self.rows, self.cols, &rhs.data, rhs.cols, c0, c1, s, &mut panel,
+                );
+                panel
+            });
+        for (p, panel) in panels.iter().enumerate() {
+            let c0 = p * GEMM_COL_BLOCK;
+            let width = panel.len() / self.rows;
+            for i in 0..self.rows {
+                out.data[i * rhs.cols + c0..][..width]
+                    .copy_from_slice(&panel[i * width..(i + 1) * width]);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl std::ops::Index<(usize, usize)> for RMatrix {
+    type Output = f64;
+    #[inline]
+    fn index(&self, (i, j): (usize, usize)) -> &f64 {
+        &self.data[i * self.cols + j]
+    }
+}
+
+impl std::ops::IndexMut<(usize, usize)> for RMatrix {
+    #[inline]
+    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
+        &mut self.data[i * self.cols + j]
     }
 }
 

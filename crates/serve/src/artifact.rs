@@ -248,7 +248,7 @@ impl FrozenArtifact {
         let reference_samples = r.usize()?;
         let num_groups = r.len_prefix(1)?;
         let groups = (0..num_groups)
-            .map(|_| decode_group(&mut r))
+            .map(|_| decode_group(&mut r, config.data_qubits))
             .collect::<Result<Vec<_>, _>>()?;
         let num_stats = r.len_prefix(1)?;
         let mut stats = Vec::with_capacity(num_stats);
@@ -446,9 +446,20 @@ fn encode_group(g: &FrozenGroup, w: &mut Writer) {
     }
 }
 
-fn decode_group(r: &mut Reader<'_>) -> Result<FrozenGroup, ServeError> {
+/// Decodes one group. Its register width must be the configuration's
+/// `data_qubits`, and the encoder's `dim² · 16` bytes must fit in what is
+/// left of the payload before anything is allocated for them, so a
+/// re-sealed artifact declaring a huge encoder is a typed error rather
+/// than a capacity-overflow panic or a multi-GiB allocation.
+fn decode_group(r: &mut Reader<'_>, data_qubits: usize) -> Result<FrozenGroup, ServeError> {
     let index = r.usize()?;
     let num_qubits = r.usize()?;
+    if num_qubits != data_qubits {
+        return Err(ServeError::Artifact(format!(
+            "group register width {num_qubits} does not match the configured \
+             {data_qubits} data qubits"
+        )));
+    }
     let num_layers = r.len_prefix(16)?;
     let mut layers = Vec::with_capacity(num_layers);
     for _ in 0..num_layers {
@@ -472,8 +483,17 @@ fn decode_group(r: &mut Reader<'_>) -> Result<FrozenGroup, ServeError> {
             "encoder dimension {dim} does not match {num_qubits} qubits"
         )));
     }
-    let mut flat = Vec::with_capacity(dim * dim);
-    for _ in 0..dim * dim {
+    let remaining = r.remaining();
+    let entries = dim
+        .checked_mul(dim)
+        .filter(|e| e.checked_mul(16).is_some_and(|bytes| bytes <= remaining))
+        .ok_or_else(|| {
+            ServeError::Artifact(format!(
+                "a {dim}×{dim} encoder does not fit the {remaining} remaining payload bytes"
+            ))
+        })?;
+    let mut flat = Vec::with_capacity(entries);
+    for _ in 0..entries {
         let re = r.f64()?;
         let im = r.f64()?;
         flat.push(C64 { re, im });

@@ -697,7 +697,7 @@ impl FrozenDetector {
                 match self.config.effective_engine() {
                     EngineKind::Density | EngineKind::DensitySample => {
                         group
-                            .fused_noisy_superop(noise, level)
+                            .folded_noisy_superop(noise, level)
                             .map_err(ServeError::Quorum)?;
                     }
                     EngineKind::DensityStructured => {

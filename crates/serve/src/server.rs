@@ -27,7 +27,7 @@
 //! Error semantics: a *well-framed* bad request (wrong feature width,
 //! unscorable values) is answered with an error frame and the connection
 //! stays usable for the next request. A frame that cannot be trusted —
-//! a declared feature count over [`MAX_REQUEST_FEATURES`] — is answered
+//! a declared feature count over `MAX_REQUEST_FEATURES` — is answered
 //! with an error frame and then the connection is **closed**: the
 //! declared length is the only framing information the protocol carries,
 //! so once it is implausible the stream can never be resynchronised and

@@ -107,6 +107,12 @@ impl<'a> Reader<'a> {
         self.pos == self.buf.len()
     }
 
+    /// Bytes not yet consumed — the bound a decoder checks a declared
+    /// size against before allocating for it.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
         match end {
@@ -155,7 +161,7 @@ impl<'a> Reader<'a> {
     /// allocations.
     pub fn len_prefix(&mut self, item_bytes: usize) -> Result<usize, ServeError> {
         let n = self.usize()?;
-        let remaining = self.buf.len() - self.pos;
+        let remaining = self.remaining();
         if n.checked_mul(item_bytes.max(1))
             .is_none_or(|b| b > remaining)
         {

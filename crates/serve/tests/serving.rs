@@ -379,6 +379,72 @@ fn non_finite_artifact_numbers_thaw_to_typed_errors() {
     assert!(thaw_after(&range_max, &|_| {}).is_ok());
 }
 
+/// A re-sealed artifact whose group declares a huge encoder must decode
+/// to a typed error before anything is allocated for it — not panic on
+/// a capacity overflow, and not ask for gigabytes. The artifact is
+/// edited, encoded, patched where the encoder dimension sits, and its
+/// FNV-1a checksum recomputed, so only the decoder's own checks stand
+/// between the bytes and the allocation.
+#[test]
+fn oversized_encoder_widths_decode_to_typed_errors() {
+    let artifact = FrozenDetector::freeze(base_config(), &reference())
+        .unwrap()
+        .to_artifact()
+        .unwrap();
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    // One group with no layers and a 1×1 encoder, so the dimension field
+    // is findable as `1u64, 1.0, 0.0`; then declare `num_qubits` qubits
+    // (and `data_qubits` configured ones) and patch the dimension to
+    // `2^num_qubits`.
+    let hostile = |data_qubits: usize, num_qubits: usize| {
+        let mut edited = artifact.clone();
+        edited.config.data_qubits = data_qubits;
+        edited.groups.truncate(1);
+        let group = &mut edited.groups[0];
+        group.num_qubits = num_qubits;
+        group.layers.clear();
+        group.encoder = qsim::matrix::CMatrix::identity(1);
+        let mut bytes = edited.to_bytes().unwrap();
+        let marker: Vec<u8> = [1u64, 1.0f64.to_bits(), 0.0f64.to_bits()]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let at = bytes
+            .windows(marker.len())
+            .position(|w| w == marker)
+            .expect("encoder dimension field");
+        bytes[at..at + 8].copy_from_slice(&(1u64 << num_qubits).to_le_bytes());
+        let checksum = fnv1a(&bytes[28..]);
+        bytes[20..28].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    };
+    // A width other than the configured one, and configured widths whose
+    // encoder overflows `dim²·16` (2^31) or outgrows the payload (2^14,
+    // a 4 GiB request).
+    for (data_qubits, num_qubits) in [(3, 31), (31, 31), (14, 14)] {
+        let bytes = hostile(data_qubits, num_qubits);
+        assert!(
+            matches!(
+                FrozenArtifact::from_bytes(&bytes),
+                Err(ServeError::Artifact(_))
+            ),
+            "width {num_qubits} with {data_qubits} configured"
+        );
+        assert!(matches!(
+            FrozenDetector::from_bytes(&bytes),
+            Err(ServeError::Artifact(_))
+        ));
+    }
+    // The same edit at an honest width still decodes.
+    let mut honest = artifact.clone();
+    honest.groups.truncate(1);
+    assert!(FrozenArtifact::from_bytes(&honest.to_bytes().unwrap()).is_ok());
+}
+
 /// Round-trips an artifact through bytes to get an owned copy to mutate.
 fn artifact_clone(artifact: &FrozenArtifact) -> FrozenArtifact {
     FrozenArtifact::from_bytes(&artifact.to_bytes().unwrap()).unwrap()

@@ -229,7 +229,7 @@ fn noisy_sampled_scores_bit_identical_across_runs_and_threads() {
     // Satellite pin: Noisy + shots scoring through the density path (the
     // Auto resolution for noisy runs) is bit-identical across repeated
     // runs and across worker-thread counts — per-measurement seeds do not
-    // depend on scheduling, and the fused-superoperator caches only ever
+    // depend on scheduling, and the folded-operator caches only ever
     // hold one deterministic matrix per level.
     use quorum::sim::NoiseModel;
     let mut rows: Vec<Vec<f64>> = (0..18)

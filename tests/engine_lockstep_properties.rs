@@ -5,7 +5,9 @@
 //! ([`SampleDensityEngine::prepare_batch`]) entry for entry, across
 //! register widths n ∈ {2, 3}, every noise model, and batch sizes
 //! 1..=32 — and the full scoring pass built on top of it must keep its
-//! sampled-draw determinism.
+//! sampled-draw determinism. The dense engines score in real-symmetric
+//! coordinates, which is exact only because every prepared state is real:
+//! that is pinned here too, bit for bit, for n = 2…6.
 //!
 //! The fast blocks run on every `cargo test`; the `#[ignore]`d blocks are
 //! the slow exhaustive suite CI executes with `cargo test -- --ignored`
@@ -15,7 +17,7 @@ use proptest::prelude::*;
 use quorum::core::bucket::BucketPlan;
 use quorum::core::engine::{DensityEngine, SampleDensityEngine, ScoringEngine};
 use quorum::core::ensemble::EnsembleGroup;
-use quorum::core::{ExecutionMode, QuorumConfig};
+use quorum::core::{ExecutionMode, QuorumConfig, QuorumError};
 use quorum::data::Dataset;
 use quorum::sim::NoiseModel;
 
@@ -188,6 +190,42 @@ fn prep_score_seam_matches_single_call_scoring() {
         .deviations_all_levels(&group, &ds, &config, &levels)
         .unwrap();
     assert_eq!(via_seam, one_call);
+
+    // The seam folds the panel onto real-symmetric coordinates; a panel
+    // that is not real breaks that invariant and is refused, not scored.
+    let mut complex = packed.clone();
+    complex[(1, 3)].im = 1e-3;
+    assert!(matches!(
+        DensityEngine::score_prepared(&group, &complex, &config, &levels),
+        Err(QuorumError::Internal(_))
+    ));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// RY/CX preparation under real Kraus channels keeps every prepared
+    /// state real: each imaginary part of the lockstep panel is exactly
+    /// zero, for every width the dense engines take and every noise model.
+    #[test]
+    fn prepared_states_are_exactly_real(
+        seed in 0u64..1_000_000,
+        group_index in 0usize..8,
+        samples in 1usize..=6,
+    ) {
+        for data_qubits in 2usize..=6 {
+            for noise in noise_models() {
+                let config = noisy_config(data_qubits, seed, noise);
+                let ds = normalized_dataset(config.features_per_circuit(), samples, seed);
+                let group = group_for(&config, ds.num_features(), group_index);
+                let packed = DensityEngine::prepare_batch(&group, &ds, &config).unwrap();
+                prop_assert!(
+                    packed.as_slice().iter().all(|z| z.im == 0.0),
+                    "n={data_qubits}: prepared panel has an imaginary part"
+                );
+            }
+        }
+    }
 }
 
 proptest! {

@@ -1,7 +1,7 @@
 //! Property pins for the analytic density noise engine: under every noise
-//! model the `n`-qubit `vec(ρ)` path (the fused noisy superoperators and
-//! the SWAP-test functional, multiplied out from the channel program and
-//! the readout MPO) must agree with the
+//! model the `n`-qubit `vec(ρ)` path (the folded noisy operators and the
+//! folded SWAP-test readout, built from the channel program and the
+//! readout MPO on the real-symmetric basis) must agree with the
 //! paper-literal noisy `2n+1`-qubit circuit simulation — across random
 //! ansatz draws, register widths n ∈ {2, 3}, reset counts and the
 //! ideal/Brisbane/scaled noise models — and must collapse onto the
@@ -267,8 +267,9 @@ fn noisy_deviations_stay_in_readout_range() {
     }
 }
 
-/// Channel law through the public cache API: every fused noisy
-/// superoperator is trace-preserving — for each matrix-unit column the
+/// Channel law through the public group API: every fused noisy
+/// superoperator (the complex map the folded scoring operators are
+/// folded from) is trace-preserving — for each matrix-unit column the
 /// output trace equals the input trace, across models and levels.
 #[test]
 fn fused_noisy_superops_preserve_trace_across_models_and_levels() {

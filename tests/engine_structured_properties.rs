@@ -1,15 +1,16 @@
 //! Property pins for the structured density noise engine: the per-gate
 //! channel-program walk plus the bond-4 MPO SWAP-test readout must
-//! reproduce the dense fused-superoperator engine — across random ansatz
+//! reproduce the dense folded-operator engine — across random ansatz
 //! draws, register widths n ∈ {2, 3}, reset counts, the
 //! ideal/Brisbane/scaled noise models, and batch sizes straddling the
 //! lockstep column-block boundary — and the new per-op column kernels
 //! (reset, amplitude damping, phase damping, general 2q superoperator)
 //! must satisfy their channel laws against the per-sample dense kernels.
 //!
-//! The dense engine multiplies out the same channel programs and MPO
-//! over the identity panel and applies them as GEMMs; the structured path
-//! applies them op by op, which reassociates floating-point products
+//! The dense engine applies the same channel programs and MPO to the
+//! real-symmetric basis panels and scores folded states with real GEMMs;
+//! the structured path applies them op by op and never folds, so this
+//! suite also pins the fold. The two reassociate floating-point products
 //! (bond-sweep readout, per-sample accumulation), so the equivalence
 //! tolerance is 1e-9 rather than 1e-12.
 //!
