@@ -16,9 +16,11 @@
 //! seam. A wide-register noisy column pits the dense folded engine
 //! against the structured per-gate channel engine at n = 5, warm and in
 //! cold one-shot calls (dense must win both — the reason `Auto` keeps the
-//! dense engine below n = 6), and tracks the structured engine alone at
-//! n = 6 (`structured_noisy_ns_per_sample`), the width `Auto` hands to
-//! it. A serving column streams the flagship
+//! dense engine below n = 6), then at n = 6, the width `Auto` hands to the
+//! structured engine, requires structured to win the cold call and tracks
+//! it alone warm (`structured_noisy_ns_per_sample`). The raw kernel column
+//! also times the real panel GEMM on the n = 4 folded level product
+//! against its scalar oracle. A serving column streams the flagship
 //! noisy workload through a frozen detector at coalescing batch sizes
 //! 1/8/32 and requires the per-sample cost to fall as panels grow — the
 //! win the cross-request batcher delivers to a long-lived server.
@@ -30,7 +32,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdata::Dataset;
-use qsim::matrix::CMatrix;
+use qsim::kernel::rmul_panel_scalar;
+use qsim::matrix::{CMatrix, RMatrix};
 use qsim::{NoiseModel, C64};
 use quorum_bench::table1_specs;
 use quorum_core::bucket::BucketPlan;
@@ -328,11 +331,11 @@ fn report_density_batch_speedup(_c: &mut Criterion) {
 /// ([`quorum_core::config::STRUCTURED_AUTO_MIN_QUBITS`] is 6), so dense
 /// must win here, warm and cold.
 const WIDE_DENSE_QUBITS: usize = 5;
-/// Data qubits for the structured-only column — the width `Auto` hands
-/// to the structured engine, where the dense engine's 33 MiB folded
-/// operators no longer all stay cached and its cold builds dominate; the
-/// structured engine runs alone and its absolute time is the tracked
-/// metric.
+/// Data qubits for the structured side of the crossover — the width
+/// `Auto` hands to the structured engine, where the dense engine's 33 MiB
+/// folded operators no longer all stay cached and its cold builds
+/// dominate. The cold leg asserts structured beats dense here; the warm
+/// column runs the structured engine alone and tracks its absolute time.
 const WIDE_STRUCTURED_QUBITS: usize = 6;
 /// Wide-register columns run on a short batch, like the noisy oracle.
 const WIDE_SAMPLES: usize = 24;
@@ -376,8 +379,9 @@ fn wide_noisy_config(data_qubits: usize, engine: EngineKind) -> QuorumConfig {
 /// per-gate channel scoring at n = 5 — warm, with caches (folded
 /// operators, channel programs, the folded readout) pre-warmed and both
 /// engines sharing the identical lockstep batch preparation, and in cold
-/// one-shot detector calls that build every per-group cache — plus the
-/// structured engine alone at n = 6.
+/// one-shot detector calls that build every per-group cache — plus, at
+/// n = 6, the cold head-to-head the other way round and the structured
+/// engine alone warm.
 fn report_structured_noisy(_c: &mut Criterion) {
     let levels = vec![1usize, 2];
 
@@ -430,22 +434,27 @@ fn report_structured_noisy(_c: &mut Criterion) {
          (Auto scores it dense), got ×{speedup:.2}"
     );
 
-    // n = 5 cold: one-shot detector calls, every per-group cache built
-    // inside the timing (the process-wide readout stays warm, as in any
-    // serving or repeated one-shot process).
-    let cold_raw = wide_dataset(config.features_per_circuit(), COLD_SAMPLES);
-    let cold = |engine: EngineKind| {
-        let config = wide_noisy_config(WIDE_DENSE_QUBITS, engine).with_ensemble_groups(COLD_GROUPS);
+    // Cold: one-shot detector calls, every per-group cache built inside
+    // the timing (the process-wide readout stays warm, as in any serving
+    // or repeated one-shot process). Both sides of the `Auto` crossover:
+    // dense must win at n = 5, structured at n = 6.
+    let cold = |n: usize, groups: usize, engine: EngineKind| {
+        let config = wide_noisy_config(n, engine).with_ensemble_groups(groups);
+        let raw = wide_dataset(config.features_per_circuit(), COLD_SAMPLES);
         best_of(2, || {
             QuorumDetector::new(config.clone())
                 .unwrap()
-                .score(&cold_raw)
+                .score(&raw)
                 .unwrap()
         })
     };
     let (dense_cold, structured_cold) = (
-        cold(EngineKind::Density),
-        cold(EngineKind::DensityStructured),
+        cold(WIDE_DENSE_QUBITS, COLD_GROUPS, EngineKind::Density),
+        cold(
+            WIDE_DENSE_QUBITS,
+            COLD_GROUPS,
+            EngineKind::DensityStructured,
+        ),
     );
     let cold_speedup = structured_cold.as_secs_f64() / dense_cold.as_secs_f64();
     record("dense_vs_structured_n5_cold_speedup", cold_speedup);
@@ -456,6 +465,20 @@ fn report_structured_noisy(_c: &mut Criterion) {
         cold_speedup >= 1.0,
         "the dense engine must beat the structured engine at n={WIDE_DENSE_QUBITS} in cold \
          one-shot calls (Auto scores it dense), got ×{cold_speedup:.2}"
+    );
+    let (dense_cold6, structured_cold6) = (
+        cold(WIDE_STRUCTURED_QUBITS, 1, EngineKind::Density),
+        cold(WIDE_STRUCTURED_QUBITS, 1, EngineKind::DensityStructured),
+    );
+    let cold6_speedup = dense_cold6.as_secs_f64() / structured_cold6.as_secs_f64();
+    record("structured_vs_dense_n6_cold_speedup", cold6_speedup);
+    println!(
+        "structured_noisy_n6_cold                                 structured {structured_cold6:.2?} vs dense {dense_cold6:.2?} (x{cold6_speedup:.2}, 1 group, {COLD_SAMPLES} samples)"
+    );
+    assert!(
+        cold6_speedup >= 1.0,
+        "the structured engine must beat the dense engine at n={WIDE_STRUCTURED_QUBITS} in \
+         cold one-shot calls (Auto scores it structured), got ×{cold6_speedup:.2}"
     );
 
     // n = 6, structured only — the width the 16^n wall used to fence off.
@@ -500,7 +523,7 @@ fn dense(rows: usize, cols: usize, salt: u64) -> CMatrix {
 
 /// Times one GEMM closure: repeats it enough to clear timer noise and
 /// returns the best per-product time.
-fn time_gemm(reps: usize, mut f: impl FnMut() -> CMatrix) -> Duration {
+fn time_gemm<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
     black_box(f());
     (0..9)
         .map(|_| {
@@ -549,6 +572,31 @@ fn report_gemm_kernel(_c: &mut Criterion) {
     record("gemm_encoder_simd_vs_scalar_speedup", encoder_speedup);
     println!(
         "gemm_kernel_flagship_8x8x96                              scalar {scalar_e:.2?} vs dispatch {dispatch_e:.2?} (x{encoder_speedup:.2})"
+    );
+
+    // Real folded GEMM: one n = 4 level product, 136×136 · 136×800 (a
+    // pen-global-sized panel). Without `simd` this times the AVX or
+    // AVX-512 recompilation of the tile body; with it, the FMA rung.
+    let (m, s) = (136, 800);
+    let ra: Vec<f64> = (0..m * m).map(|i| (i as f64 * 0.37).sin()).collect();
+    let rb: Vec<f64> = (0..m * s).map(|i| (i as f64 * 0.11).cos()).collect();
+    let mut rm = RMatrix::zeros(m, s);
+    rm.as_mut_slice().copy_from_slice(&rb);
+    let mut ram = RMatrix::zeros(m, m);
+    ram.as_mut_slice().copy_from_slice(&ra);
+    let mut rout = RMatrix::default();
+    let rscalar = time_gemm(5, || rmul_panel_scalar(&ra, m, m, &rb, s, 0, s));
+    let rdispatch = time_gemm(5, || {
+        ram.matmul_threaded_into(&rm, 1, &mut rout).unwrap();
+        rout.as_slice()[0]
+    });
+    let rflops = 2.0 * (m * m * s) as f64;
+    let rgflops = rflops / rdispatch.as_secs_f64() / 1e9;
+    let rspeedup = rscalar.as_secs_f64() / rdispatch.as_secs_f64();
+    record("rgemm_folded_n4_gflops", rgflops);
+    record("rgemm_vs_scalar_speedup", rspeedup);
+    println!(
+        "rgemm_kernel_folded_136x136x800                          dispatch {rgflops:.2} GFLOP/s (x{rspeedup:.2} the scalar oracle)"
     );
 
     if simd {

@@ -41,8 +41,14 @@ pub enum ExecutionMode {
 /// (4 groups, 809 samples, every level, one thread) alike. At n = 6
 /// (`m = 2080`, 33 MiB per operator, so a group's levels no longer all
 /// stay cached) the cold builds dominate and the structured engine takes
-/// over (see the `structured_noisy_n5` and `structured_noisy_n5_cold`
-/// columns of `benches/engine_comparison.rs`).
+/// over (see the `structured_noisy_n5`, `structured_noisy_n5_cold` and
+/// `structured_noisy_n6_cold` columns of `benches/engine_comparison.rs`).
+///
+/// The dense side's price at n = 5 is residency: a long-lived detector
+/// keeps 4 × 2.2 MiB of folded operators per group (about 0.9 GB at the
+/// default 100 groups, against a few MiB of channel programs), and
+/// thawing a frozen one builds all of them up front (about 11 s on two
+/// threads, against 0.05 s).
 pub const STRUCTURED_AUTO_MIN_QUBITS: usize = 6;
 
 /// Which scoring engine evaluates the per-sample deviations.

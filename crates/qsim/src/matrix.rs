@@ -47,10 +47,57 @@ thread_local! {
     /// Panel scratch for sequential GEMMs: repeated products on a fixed
     /// configuration (one per group per scoring pass) reuse one repack
     /// buffer per thread instead of reallocating every call. Worker
-    /// threads spawned by [`CMatrix::matmul_threaded`] get their own
-    /// per-call scratch through
-    /// [`crate::parallel::map_indexed_with`] instead.
+    /// threads of a threaded GEMM ([`CMatrix::matmul_threaded`],
+    /// [`RMatrix::matmul_threaded_into`]) get their own per-call scratch
+    /// through [`crate::parallel::map_indexed_with`] instead.
     static SEQ_SCRATCH: RefCell<PanelScratch> = RefCell::new(PanelScratch::new());
+}
+
+/// The panel fan-out both matrix types' GEMMs share: fills the row-major
+/// `rows × cols` output `out` (storage reused) through `panel_kernel`,
+/// which writes the row-major block of output columns `c0..c1` into the
+/// buffer it is given. Sequentially that is one full-width panel straight
+/// into `out` — no zero-fill, no stitching — through the thread-local
+/// scratch; otherwise fixed [`GEMM_COL_BLOCK`]-wide panels are fanned over
+/// up to `threads` workers (one scratch each) and stitched back. Panel
+/// boundaries never depend on `threads`, so neither does any column.
+fn panel_gemm_into<T: Copy + Default + Send>(
+    rows: usize,
+    cols: usize,
+    threads: usize,
+    out: &mut Vec<T>,
+    panel_kernel: impl Fn(usize, usize, &mut PanelScratch, &mut Vec<T>) + Sync,
+) {
+    if rows == 0 || cols == 0 {
+        out.clear();
+        return;
+    }
+    if threads <= 1 {
+        SEQ_SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            panel_kernel(0, cols, &mut scratch, out);
+            // Don't pin extreme-shape buffers on this thread forever.
+            scratch.trim();
+        });
+        return;
+    }
+    out.clear();
+    out.resize(rows * cols, T::default());
+    let num_panels = cols.div_ceil(GEMM_COL_BLOCK);
+    let panels =
+        crate::parallel::map_indexed_with(num_panels, threads, PanelScratch::new, |s, p| {
+            let c0 = p * GEMM_COL_BLOCK;
+            let mut panel = Vec::new();
+            panel_kernel(c0, (c0 + GEMM_COL_BLOCK).min(cols), s, &mut panel);
+            panel
+        });
+    for (p, panel) in panels.iter().enumerate() {
+        let c0 = p * GEMM_COL_BLOCK;
+        let width = panel.len() / rows;
+        for (i, src) in panel.chunks_exact(width).enumerate() {
+            out[i * cols + c0..][..width].copy_from_slice(src);
+        }
+    }
 }
 
 /// A dense, row-major complex matrix.
@@ -336,41 +383,19 @@ impl CMatrix {
                 actual: rhs.rows,
             });
         }
-        if rhs.cols == 0 || self.rows == 0 {
-            out.resize_zeroed(self.rows, rhs.cols);
-            return Ok(());
-        }
-        if threads <= 1 {
-            // Sequential fast path: one full-width panel *is* the
-            // row-major result — no zero-fill, no stitching — through the
-            // thread-local scratch so repeated GEMMs reuse their buffers.
-            out.rows = self.rows;
-            out.cols = rhs.cols;
-            SEQ_SCRATCH.with(|scratch| {
-                let mut scratch = scratch.borrow_mut();
-                self.mul_panel_into(rhs, 0, rhs.cols, &mut scratch, &mut out.data);
-                // Don't pin extreme-shape buffers on this thread forever.
-                scratch.trim();
-            });
-            return Ok(());
-        }
-        out.resize_zeroed(self.rows, rhs.cols);
-        let num_panels = rhs.cols.div_ceil(GEMM_COL_BLOCK);
-        let panels =
-            crate::parallel::map_indexed_with(num_panels, threads, PanelScratch::new, |s, p| {
-                let c0 = p * GEMM_COL_BLOCK;
-                let c1 = (c0 + GEMM_COL_BLOCK).min(rhs.cols);
-                self.mul_panel(rhs, c0, c1, s)
-            });
-        // Stitch the row-major panels back into the row-major output.
-        for (p, panel) in panels.iter().enumerate() {
-            let c0 = p * GEMM_COL_BLOCK;
-            let width = (c0 + GEMM_COL_BLOCK).min(rhs.cols) - c0;
-            for i in 0..self.rows {
-                out.data[i * rhs.cols + c0..i * rhs.cols + c0 + width]
-                    .copy_from_slice(&panel[i * width..(i + 1) * width]);
-            }
-        }
+        out.rows = self.rows;
+        out.cols = rhs.cols;
+        panel_gemm_into(
+            self.rows,
+            rhs.cols,
+            threads,
+            &mut out.data,
+            |c0, c1, s, panel| {
+                kernel::mul_panel_into(
+                    &self.data, self.rows, self.cols, &rhs.data, rhs.cols, c0, c1, s, panel,
+                )
+            },
+        );
         Ok(())
     }
 
@@ -400,36 +425,6 @@ impl CMatrix {
                 &self.data, self.rows, self.cols, &rhs.data, rhs.cols, 0, rhs.cols,
             ),
         })
-    }
-
-    /// One GEMM column panel: the row-major `self.rows × (c1 − c0)` block
-    /// of `self · rhs` covering output columns `c0..c1`, through the
-    /// dispatching split-complex kernel.
-    fn mul_panel(
-        &self,
-        rhs: &CMatrix,
-        c0: usize,
-        c1: usize,
-        scratch: &mut PanelScratch,
-    ) -> Vec<C64> {
-        kernel::mul_panel(
-            &self.data, self.rows, self.cols, &rhs.data, rhs.cols, c0, c1, scratch,
-        )
-    }
-
-    /// [`CMatrix::mul_panel`] into a caller-owned buffer (cleared and
-    /// refilled; capacity reused).
-    fn mul_panel_into(
-        &self,
-        rhs: &CMatrix,
-        c0: usize,
-        c1: usize,
-        scratch: &mut PanelScratch,
-        panel: &mut Vec<C64>,
-    ) {
-        kernel::mul_panel_into(
-            &self.data, self.rows, self.cols, &rhs.data, rhs.cols, c0, c1, scratch, panel,
-        );
     }
 
     /// Returns `true` when every entry is within `tol` of `other`'s.
@@ -650,46 +645,19 @@ impl RMatrix {
                 actual: rhs.rows,
             });
         }
-        if rhs.cols == 0 || self.rows == 0 || threads <= 1 {
-            out.rows = self.rows;
-            out.cols = rhs.cols;
-            SEQ_SCRATCH.with(|scratch| {
-                let mut scratch = scratch.borrow_mut();
+        out.rows = self.rows;
+        out.cols = rhs.cols;
+        panel_gemm_into(
+            self.rows,
+            rhs.cols,
+            threads,
+            &mut out.data,
+            |c0, c1, s, panel| {
                 kernel::rmul_panel_into(
-                    &self.data,
-                    self.rows,
-                    self.cols,
-                    &rhs.data,
-                    rhs.cols,
-                    0,
-                    rhs.cols,
-                    &mut scratch,
-                    &mut out.data,
-                );
-                scratch.trim();
-            });
-            return Ok(());
-        }
-        out.resize_zeroed(self.rows, rhs.cols);
-        let num_panels = rhs.cols.div_ceil(GEMM_COL_BLOCK);
-        let panels =
-            crate::parallel::map_indexed_with(num_panels, threads, PanelScratch::new, |s, p| {
-                let c0 = p * GEMM_COL_BLOCK;
-                let c1 = (c0 + GEMM_COL_BLOCK).min(rhs.cols);
-                let mut panel = Vec::new();
-                kernel::rmul_panel_into(
-                    &self.data, self.rows, self.cols, &rhs.data, rhs.cols, c0, c1, s, &mut panel,
-                );
-                panel
-            });
-        for (p, panel) in panels.iter().enumerate() {
-            let c0 = p * GEMM_COL_BLOCK;
-            let width = panel.len() / self.rows;
-            for i in 0..self.rows {
-                out.data[i * rhs.cols + c0..][..width]
-                    .copy_from_slice(&panel[i * width..(i + 1) * width]);
-            }
-        }
+                    &self.data, self.rows, self.cols, &rhs.data, rhs.cols, c0, c1, s, panel,
+                )
+            },
+        );
         Ok(())
     }
 }

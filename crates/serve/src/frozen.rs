@@ -687,29 +687,37 @@ impl FrozenDetector {
     /// engine will need, so a thawed server's first request hits only
     /// warm caches. No-op for pure-state configurations and for the
     /// per-sample circuit oracle (which builds circuits per request).
+    /// Groups warm in parallel over the configured threads: each group's
+    /// cache is its own, and a build is a pure function of the group.
     fn prewarm(&self) -> Result<(), ServeError> {
         let ExecutionMode::Noisy { noise, .. } = &self.config.execution else {
             return Ok(());
         };
         let levels = self.config.effective_compression_levels();
-        for group in &self.groups {
+        let engine = self.config.effective_engine();
+        let warm_group = |g: usize| -> Result<(), QuorumError> {
+            let group = &self.groups[g];
             for &level in &levels {
-                match self.config.effective_engine() {
+                match engine {
                     EngineKind::Density | EngineKind::DensitySample => {
-                        group
-                            .folded_noisy_superop(noise, level)
-                            .map_err(ServeError::Quorum)?;
+                        group.folded_noisy_superop(noise, level)?;
                     }
                     EngineKind::DensityStructured => {
-                        group
-                            .channel_program(noise, level)
-                            .map_err(ServeError::Quorum)?;
+                        group.channel_program(noise, level)?;
                     }
                     _ => {}
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        };
+        map_indexed(
+            self.groups.len(),
+            self.config.effective_threads(),
+            warm_group,
+        )
+        .into_iter()
+        .collect::<Result<(), _>>()
+        .map_err(ServeError::Quorum)
     }
 }
 
